@@ -85,8 +85,8 @@ pub struct Bus {
 
 impl Bus {
     /// Returns every signal to its [`Bus::default`] value in place,
-    /// keeping the world-model object storage allocated — the campaign
-    /// arena path. The sensor frame is reset to empty; callers that pool
+    /// keeping the world-model object storage allocated — the simulation
+    /// arena reset path. The sensor frame is reset to empty; callers that pool
     /// its detection buffers reclaim them first (the simulation arena
     /// parks them back into the `SensorSuite` spare pool before
     /// resetting). Built on `Bus::default()` so a new field can never

@@ -224,9 +224,8 @@ impl AdsStack {
     /// to its freshly constructed state, but heap storage — the
     /// tracker's track/object vectors, the bus world model, the road's
     /// lane vector — stays allocated. Behavior after a reset is
-    /// identical to [`AdsStack::with_road`] with the same config; the
-    /// campaign engine's worker arenas call this between jobs instead of
-    /// rebuilding the stack.
+    /// identical to [`AdsStack::with_road`] with the same config;
+    /// `Simulation::reset` calls this instead of rebuilding the stack.
     pub fn reset(&mut self, set_speed: f64, road: &drivefi_world::Road) {
         self.localization = PoseEstimator::new();
         self.tracker.reset();

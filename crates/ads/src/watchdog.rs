@@ -94,7 +94,8 @@ impl Watchdog {
     }
 
     /// Returns the watchdog to its freshly constructed state (no
-    /// heartbeat history, fallback disengaged) — the campaign arena path.
+    /// heartbeat history, fallback disengaged) — the simulation arena
+    /// reset path.
     pub fn reset(&mut self) {
         *self = Watchdog::new(self.config);
     }

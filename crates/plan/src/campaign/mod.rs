@@ -266,10 +266,10 @@ pub struct SimSection {
     pub pid_smoothing: bool,
     /// Engage the module-health watchdog.
     pub watchdog: bool,
-    /// Campaign-engine batch width: how many jobs a worker steps in
-    /// lockstep per dispatch (`None` = auto,
+    /// Campaign-engine chunk size: how many jobs a worker pulls per
+    /// dispatch, and so the scope of golden-prefix sharing (`None` = auto,
     /// [`drivefi_sim::DEFAULT_BATCH`]). Pure scheduling — results are
-    /// bit-identical at any width, so like `workers` it is stripped from
+    /// bit-identical at any size, so like `workers` it is stripped from
     /// the campaign fingerprint.
     pub batch: Option<usize>,
 }
@@ -473,7 +473,6 @@ fn run_control_point(
             };
             let control_sim = SimConfig { record_trace: false, ..*sim };
             let report = Simulation::new(control_sim, scenario).run();
-            drivefi_obs::metrics::counter_add(drivefi_obs::metrics::Counter::ControlJobs, 1);
             let verdict = ControlVerdict {
                 scenario_id: scenario.id,
                 scenario_name: scenario.name.clone(),
@@ -557,7 +556,7 @@ pub struct CampaignPlan {
 /// `[adaptive] batch`) is identity.
 pub const FINGERPRINT_EXCLUDED: &[(&str, &str)] = &[
     ("[campaign] workers", "results are bit-identical at any worker count"),
-    ("[sim] batch", "engine batch width is pure scheduling"),
+    ("[sim] batch", "engine chunk size is pure scheduling"),
     ("[output]", "store location and sharding are destinations, not inputs"),
     ("[submit] weight", "daemon fair-share weight never changes what a slice computes"),
     ("[control] assert", "the control-point assertion is policy around the run, not part of it"),

@@ -58,9 +58,6 @@ pub(super) struct Stage {
     pub jobs: Vec<CampaignJob>,
     /// Identity the stage's store is locked to (the plan fingerprint).
     pub fingerprint: u64,
-    /// Publish the `StageJobsRemaining` gauge on stage start
-    /// (single-stage campaigns, which *are* their one stage).
-    pub gauge_on_start: bool,
 }
 
 impl Stage {
@@ -186,12 +183,6 @@ impl<'a> Pipeline<'a> {
                     ("pending", Field::Int((total - done_before) as i64)),
                 ],
             );
-            if stage.gauge_on_start {
-                drivefi_obs::metrics::gauge_set(
-                    drivefi_obs::metrics::Gauge::StageJobsRemaining,
-                    (total - done_before) as i64,
-                );
-            }
         }
         let engine = plan_engine(self.plan, stage.sim, self.workers);
         let mut sink = StoreSink::new(&mut writer, &stage.metas);
@@ -221,10 +212,6 @@ impl<'a> Pipeline<'a> {
     /// complete on exit) — so interrupt/resume cycles never duplicate a
     /// stage's finish event.
     pub fn finish_stage(&mut self, name: &str, run: &StageRun) {
-        drivefi_obs::metrics::gauge_set(
-            drivefi_obs::metrics::Gauge::StageJobsRemaining,
-            if run.complete { 0 } else { (run.total - run.done_before) as i64 },
-        );
         if run.complete && run.done_before < run.total {
             self.events.emit(
                 "stage_finish",
@@ -291,7 +278,6 @@ pub(super) fn golden_stage(
             })
             .collect(),
         fingerprint,
-        gauge_on_start: false,
     }
 }
 
@@ -324,7 +310,6 @@ pub(super) fn sweep_stage(
             })
             .collect(),
         fingerprint,
-        gauge_on_start: false,
     }
 }
 
@@ -428,7 +413,6 @@ pub(super) fn run_persisted(
         metas,
         jobs,
         fingerprint: pipeline.fingerprint,
-        gauge_on_start: true,
     };
     // Tee the stream: records go to disk, tallies stay in memory for the
     // end-to-end cross-check below.

@@ -478,7 +478,7 @@ fn fingerprint_ignores_scheduling_knobs_but_not_computation() {
     let mut no_workers = base.clone();
     no_workers.workers = None;
     assert_eq!(campaign_fingerprint(&no_workers), fp);
-    // The batch width is scheduling too: rebatching never
+    // The chunk size is scheduling too: rechunking never
     // invalidates a store resume.
     let mut rebatched = base.clone();
     rebatched.sim.batch = Some(1);

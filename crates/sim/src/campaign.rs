@@ -3,14 +3,16 @@
 //! A campaign is a stream of (scenario × fault) jobs executed on a
 //! worker pool. The [`CampaignEngine`] pulls jobs lazily from a
 //! [`JobSource`] (so exhaustive sweeps never materialize their full
-//! cross-product) in chunks of [`CampaignEngine::batch`] jobs, executes
-//! each chunk on the batched struct-of-arrays core
-//! ([`crate::batch::BatchSimulation`], with golden-prefix sharing across
-//! jobs of one scenario), and streams [`CampaignResult`]s into a
-//! [`CampaignSink`] as chunks complete. Every job is fully deterministic
-//! (scenario seed + sensor seed) and the batched path is bit-identical to
-//! a scalar `Simulation::run_with`, so campaign results are
-//! reproducible regardless of scheduling, worker count, or batch width.
+//! cross-product) in chunks of [`CampaignEngine::batch`] jobs, and
+//! streams [`CampaignResult`]s into a [`CampaignSink`] as chunks
+//! complete. Within a chunk, jobs over one scenario share its golden
+//! prefix: a worker forks each job from a cached fault-free pilot at the
+//! scene where the job can first diverge, then finishes it on a scalar
+//! [`crate::Simulation`], stopping where `Simulation::run_with` would
+//! (see [`crate::batch`]). Every job is fully deterministic (scenario
+//! seed + sensor seed) and bit-identical to a fresh
+//! `Simulation::run_with`, so campaign results are reproducible
+//! regardless of scheduling, worker count, or chunk size.
 
 use crate::batch::{ChunkRunner, Chunks, DEFAULT_BATCH};
 use crate::engine::{default_workers, stream_map, IndexedSlots};
@@ -223,7 +225,7 @@ impl CampaignSink for TraceSink {
 }
 
 /// The campaign runner: a [`SimConfig`] plus worker-count and
-/// batch-width policies.
+/// chunk-size policies.
 ///
 /// ```
 /// use drivefi_sim::{CampaignEngine, CampaignJob, SimConfig};
@@ -250,7 +252,7 @@ pub struct CampaignEngine {
 
 impl CampaignEngine {
     /// An engine with [`default_workers`] worker threads and the default
-    /// batch width.
+    /// chunk size.
     pub fn new(config: SimConfig) -> Self {
         CampaignEngine { config, workers: default_workers(), batch: None }
     }
@@ -261,9 +263,10 @@ impl CampaignEngine {
         self
     }
 
-    /// Overrides the batch width — how many jobs a worker pulls and steps
-    /// in lockstep per dispatch (clamped to at least 1). The width is a
-    /// scheduling knob only: results are bit-identical at any value.
+    /// Overrides the chunk size — how many jobs a worker pulls per
+    /// dispatch, and so the scope of golden-prefix sharing (clamped to at
+    /// least 1). The size is a scheduling knob only: results are
+    /// bit-identical at any value.
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = Some(batch.max(1));
         self
@@ -279,7 +282,7 @@ impl CampaignEngine {
         self.workers
     }
 
-    /// The effective batch width ([`DEFAULT_BATCH`] unless overridden).
+    /// The effective chunk size ([`DEFAULT_BATCH`] unless overridden).
     pub fn batch(&self) -> usize {
         self.batch.unwrap_or(DEFAULT_BATCH)
     }
@@ -287,9 +290,9 @@ impl CampaignEngine {
     /// Runs every job from `jobs`, streaming each result into `sink` on
     /// the calling thread as chunks complete. Jobs are pulled from the
     /// source lazily, one chunk of [`CampaignEngine::batch`] jobs per
-    /// idle worker, and each chunk runs on the batched
-    /// struct-of-arrays core. Submission indices are per job (chunks are
-    /// full except possibly the last, so job `i` keeps index `i`).
+    /// idle worker, and each chunk shares golden prefixes between its
+    /// jobs. Submission indices are per job (chunks are full except
+    /// possibly the last, so job `i` keeps index `i`).
     ///
     /// # Panics
     ///
@@ -366,16 +369,6 @@ impl CampaignEngine {
     }
 }
 
-/// Compatibility wrapper over [`CampaignEngine`]: runs all jobs, fanning
-/// out over `workers` threads, and returns results in job order.
-pub fn run_campaign(
-    config: SimConfig,
-    jobs: &[CampaignJob],
-    workers: usize,
-) -> Vec<CampaignResult> {
-    CampaignEngine::new(config).with_workers(workers).collect(jobs.iter().cloned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,7 +394,7 @@ mod tests {
     #[test]
     fn campaign_preserves_job_order_and_ids() {
         let jobs: Vec<_> = (0..6).map(|i| golden_job(100 + i, i)).collect();
-        let results = run_campaign(SimConfig::default(), &jobs, 3);
+        let results = CampaignEngine::new(SimConfig::default()).with_workers(3).collect(jobs);
         assert_eq!(results.len(), 6);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.id, 100 + i as u64);
@@ -412,13 +405,17 @@ mod tests {
     #[test]
     fn parallel_equals_serial() {
         // Golden jobs and jobs with armed faults must produce bitwise
-        // identical reports across worker counts 1/2/8: worker arenas are
-        // reset between jobs, so scheduling cannot leak state.
+        // identical reports across worker counts 1/2/8: every job runs on
+        // its own fork or fresh Simulation, so scheduling cannot leak
+        // state.
         let mut jobs: Vec<_> = (0..4).map(|i| golden_job(i, i * 7)).collect();
         jobs.extend((0..4).map(|i| faulted_job(100 + i, i * 3 + 1, 20 + 5 * i)));
-        let serial = run_campaign(SimConfig::default(), &jobs, 1);
+        let serial =
+            CampaignEngine::new(SimConfig::default()).with_workers(1).collect(jobs.iter().cloned());
         for workers in [2, 8] {
-            let parallel = run_campaign(SimConfig::default(), &jobs, workers);
+            let parallel = CampaignEngine::new(SimConfig::default())
+                .with_workers(workers)
+                .collect(jobs.iter().cloned());
             assert_eq!(serial.len(), parallel.len());
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_eq!(s.id, p.id);
@@ -432,13 +429,15 @@ mod tests {
 
     #[test]
     fn arena_reuse_matches_fresh_construction() {
-        // One worker, many jobs: every job after the first runs in a
-        // reset arena and must match a freshly constructed Simulation.
+        // One worker, many jobs: every job after the first reuses the
+        // worker's cached golden pilot and must match a freshly
+        // constructed Simulation.
         let jobs: Vec<_> = (0..3)
             .map(|i| faulted_job(i, 5, 30))
             .chain((0..2).map(|i| golden_job(10 + i, 2)))
             .collect();
-        let reused = run_campaign(SimConfig::default(), &jobs, 1);
+        let reused =
+            CampaignEngine::new(SimConfig::default()).with_workers(1).collect(jobs.iter().cloned());
         for (job, result) in jobs.iter().zip(&reused) {
             let mut sim = Simulation::new(SimConfig::default(), &job.scenario);
             let mut injector = Injector::new(job.faults.clone());
@@ -458,7 +457,7 @@ mod tests {
             window: FaultWindow::scene(10),
         };
         let jobs = vec![CampaignJob::new(0, scenario, vec![fault])];
-        let results = run_campaign(SimConfig::default(), &jobs, 2);
+        let results = CampaignEngine::new(SimConfig::default()).with_workers(2).collect(jobs);
         assert!(results[0].report.injections > 0);
     }
 
@@ -479,9 +478,9 @@ mod tests {
     #[test]
     fn jobs_share_one_scenario_allocation() {
         // The zero-clone contract: a cross-product of jobs over one
-        // scenario holds one allocation, and cloning a job (the
-        // `run_campaign` slice path) bumps a refcount instead of deep-
-        // cloning road + actor storage.
+        // scenario holds one allocation, and cloning a job (collecting
+        // from a borrowed slice) bumps a refcount instead of deep-cloning
+        // road + actor storage.
         let scenario = Arc::new(ScenarioConfig::lead_vehicle_cruise(3));
         let jobs: Vec<_> = (0..8u64)
             .map(|id| CampaignJob { id, scenario: Arc::clone(&scenario), faults: vec![] })
@@ -491,7 +490,8 @@ mod tests {
         }
         let cloned = jobs[0].clone();
         assert!(Arc::ptr_eq(&cloned.scenario, &scenario));
-        let results = run_campaign(SimConfig::default(), &jobs, 4);
+        let results =
+            CampaignEngine::new(SimConfig::default()).with_workers(4).collect(jobs.iter().cloned());
         assert_eq!(results.len(), 8);
     }
 

@@ -13,13 +13,14 @@
 //!
 //! The [`CampaignEngine`] executes many (scenario × fault) runs in
 //! parallel with deterministic seeding: jobs stream lazily from a
-//! [`JobSource`], each worker reuses one [`Simulation`] arena, and
-//! results stream into a [`CampaignSink`] ([`Collector`],
-//! [`RunningStats`], [`TraceSink`]). [`campaign::run_campaign`] is the
-//! eager compatibility wrapper. This crate is also the only place in the
-//! workspace that spawns worker threads ([`engine::stream_map`] /
-//! [`engine::parallel_map`], with [`default_workers`] as the one
-//! worker-count policy).
+//! [`JobSource`], each worker forks jobs over one scenario from a cached
+//! golden [`Simulation`] (see [`batch`]), and results stream into a
+//! [`CampaignSink`] ([`Collector`], [`RunningStats`], [`TraceSink`]).
+//! Collect a slice of jobs with
+//! `CampaignEngine::new(config).with_workers(w).collect(jobs)`. This
+//! crate is also the only place in the workspace that spawns worker
+//! threads ([`engine::stream_map`] / [`engine::parallel_map`], with
+//! [`default_workers`] as the one worker-count policy).
 //!
 //! # Example
 //!
@@ -41,10 +42,10 @@ pub mod rules;
 pub mod simulation;
 pub mod trace;
 
-pub use batch::{BatchSimulation, DEFAULT_BATCH};
+pub use batch::DEFAULT_BATCH;
 pub use campaign::{
-    run_campaign, CampaignEngine, CampaignJob, CampaignResult, CampaignSink, Collector, JobSource,
-    RunningStats, Tee, TraceSink,
+    CampaignEngine, CampaignJob, CampaignResult, CampaignSink, Collector, JobSource, RunningStats,
+    Tee, TraceSink,
 };
 pub use engine::{default_workers, parallel_map, stream_map};
 pub use outcome::{Outcome, RunReport};

@@ -42,27 +42,26 @@ impl Default for SimConfig {
 /// A closed-loop simulation of one scenario.
 #[derive(Debug, Clone)]
 pub struct Simulation {
-    pub(crate) config: SimConfig,
-    pub(crate) world: World,
+    config: SimConfig,
+    world: World,
     sensors: SensorSuite,
     ads: AdsStack,
     vehicle: BicycleModel,
     ego: VehicleState,
-    pub(crate) frame: u64,
-    pub(crate) total_frames: u64,
+    frame: u64,
+    total_frames: u64,
     scenario_id: u32,
 }
 
-/// Per-run accounting (outcome, running min-δ, optional trace), factored
-/// out of the scalar loop so the batched runner shares the *same*
-/// evaluation code — scene accounting cannot diverge between the two
-/// paths.
+/// Per-run accounting (outcome, running min-δ, optional trace), kept
+/// apart from the [`Simulation`] so a job forked from a golden snapshot
+/// continues the pilot's accounting where the fork was taken.
 #[derive(Debug, Clone)]
 pub(crate) struct RunState {
-    pub(crate) outcome: Outcome,
-    pub(crate) min_lon: f64,
-    pub(crate) min_lat: f64,
-    pub(crate) trace: Option<Trace>,
+    outcome: Outcome,
+    min_lon: f64,
+    min_lat: f64,
+    trace: Option<Trace>,
 }
 
 impl RunState {
@@ -115,9 +114,8 @@ impl Simulation {
     /// Resets the closed loop in place for a new scenario, reusing the
     /// existing allocations — world actor storage, the tracker's track
     /// vectors, the bus world model, the road's lane vector — instead of
-    /// reconstructing any module. This is the campaign engine's
-    /// per-worker arena path: a worker builds one `Simulation` and
-    /// resets it between jobs. Behavior after a reset is identical to
+    /// reconstructing any module, for callers that drive many scenarios
+    /// through one arena. Behavior after a reset is identical to
     /// [`Simulation::new`] with the same config and scenario (the
     /// `arena_reset_traces_equal_fresh_build` test pins trace-level
     /// equality).
@@ -162,16 +160,9 @@ impl Simulation {
         self.frame >= self.total_frames
     }
 
-    /// Base tick duration \[s\].
-    pub(crate) fn dt(&self) -> f64 {
-        1.0 / self.config.ads.tick_hz
-    }
-
-    /// The sensing → ADS → actuation half of a base tick: everything up
-    /// to (but excluding) the world step. The batched runner calls this
-    /// per lane and then advances all lane worlds in one SoA sweep.
-    pub(crate) fn pre_world_tick<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) {
-        let dt = self.dt();
+    /// Advances one 30 Hz base tick with the given interceptor.
+    pub(crate) fn step_tick<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) {
+        let dt = 1.0 / self.config.ads.tick_hz;
         // Sample straight into the bus frame: the same detection buffers
         // carry every tick of the run, so the sensing → ADS half of the
         // loop never touches the heap in the steady state.
@@ -183,27 +174,17 @@ impl Simulation {
         self.ego = self.vehicle.step(&self.ego, &actuation, dt);
         self.world.set_ego(self.ego, ActorKind::Car.dims());
         profiler::record(TickPhase::Vehicle, probe);
-    }
-
-    /// Closes a base tick after the world has been advanced.
-    pub(crate) fn post_world_tick(&mut self) {
-        self.frame += 1;
-    }
-
-    /// Advances one 30 Hz base tick with the given interceptor.
-    pub(crate) fn step_tick<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) {
-        self.pre_world_tick(interceptor);
         let probe = profiler::start();
-        self.world.step(self.dt());
+        self.world.step(dt);
         profiler::record(TickPhase::World, probe);
-        self.post_world_tick();
+        self.frame += 1;
     }
 
     /// Scene-rate evaluation after [`BASE_TICKS_PER_SCENE`] base ticks:
     /// ground truth, running min-δ, outcome transitions, and the optional
     /// trace frame. Returns `true` when the run stops here (collision
     /// with `stop_on_collision` set) — the single definition of the
-    /// scalar break point that the batched early-exit must reproduce.
+    /// break point for fresh and forked runs alike.
     pub(crate) fn eval_scene(&mut self, state: &mut RunState) -> bool {
         let probe = profiler::start();
         let scene = self.scene() - 1;
@@ -315,8 +296,19 @@ impl Simulation {
     /// The hazard monitor evaluates ground truth at scene rate, matching
     /// the paper's per-scene accounting.
     pub fn run_with<I: BusInterceptor + ?Sized>(&mut self, interceptor: &mut I) -> RunReport {
-        let mut state = RunState::new(self);
-        while self.frame < self.total_frames {
+        let state = RunState::new(self);
+        self.run_from(interceptor, state)
+    }
+
+    /// [`Simulation::run_with`] continued from the current frame with the
+    /// accounting accumulated so far — how a job forked from a golden
+    /// snapshot finishes. A fresh `state` makes this `run_with`.
+    pub(crate) fn run_from<I: BusInterceptor + ?Sized>(
+        &mut self,
+        interceptor: &mut I,
+        mut state: RunState,
+    ) -> RunReport {
+        while !self.done() {
             for _ in 0..BASE_TICKS_PER_SCENE {
                 self.step_tick(interceptor);
             }

@@ -3,9 +3,9 @@
 //! A counting `#[global_allocator]` wraps `System` and tallies every
 //! `alloc`/`realloc`/`alloc_zeroed`. After a warm-up pass sizes every
 //! pooled buffer (bus sensor frames, tracker scratch, world actor and
-//! lead-order vectors, SoA lanes), the steady-state tick must perform
-//! **zero** heap operations — on both the scalar `Simulation` arena
-//! path and the batched SoA `step_scene` path.
+//! lead-order vectors), a steady-state run of the scalar `Simulation` —
+//! the stepping loop every campaign job runs on — must perform **zero**
+//! heap operations.
 //!
 //! Everything lives in ONE `#[test]` so no sibling test thread can
 //! pollute the global counter.
@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use drivefi_sim::{BatchSimulation, SimConfig, Simulation};
+use drivefi_sim::{SimConfig, Simulation};
 use drivefi_world::scenario::ScenarioConfig;
 
 struct CountingAlloc;
@@ -54,9 +54,9 @@ fn alloc_ops() -> u64 {
 
 #[test]
 fn steady_state_tick_never_allocates() {
-    // ---- Scalar arena path: warm build + run, then a reset + full
-    // rerun must not touch the heap. This is exactly the campaign
-    // worker's per-job loop.
+    // Warm build + run, then a reset + full rerun must not touch the
+    // heap: the reset arena reaches every pool's high-water mark, so the
+    // measured runs isolate the stepping loop itself.
     let config = SimConfig::default();
     let scenario = ScenarioConfig::lead_vehicle_cruise(3);
     let mut sim = Simulation::new(config, &scenario);
@@ -79,27 +79,4 @@ fn steady_state_tick_never_allocates() {
         assert_eq!(report.outcome, warm2.outcome);
     }
     assert_eq!(scalar_ops, 0, "scalar reset+run performed {scalar_ops} heap operations");
-
-    // ---- Batched SoA path: long-duration lanes, a few warm scenes to
-    // size the lane pools and build the SoA mirror, then one measured
-    // `step_scene` over all live lanes must not touch the heap.
-    let mut batch = BatchSimulation::new(true);
-    for i in 0..8u64 {
-        let mut s = ScenarioConfig::lead_vehicle_cruise(i);
-        s.duration = 60.0; // plenty of scenes left after warm-up
-        batch.push_job(config, &s, vec![], i);
-    }
-    for _ in 0..10 {
-        batch.step_scene();
-    }
-    assert!(!batch.is_empty(), "all lanes retired during warm-up");
-
-    let mut batched_ops = u64::MAX;
-    for _ in 0..5 {
-        assert!(!batch.is_empty(), "all lanes retired mid-measurement");
-        let before = alloc_ops();
-        batch.step_scene();
-        batched_ops = batched_ops.min(alloc_ops() - before);
-    }
-    assert_eq!(batched_ops, 0, "batched step_scene performed {batched_ops} heap operations");
 }

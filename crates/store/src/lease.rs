@@ -249,10 +249,6 @@ impl LeaseSet {
                                     .and_then(|src| LeaseInfo::parse(shard, &src));
                                 std::fs::remove_file(&grave)
                                     .map_err(|e| io_err("removing", &grave, e))?;
-                                drivefi_obs::metrics::counter_add(
-                                    drivefi_obs::metrics::Counter::LeaseTakeovers,
-                                    1,
-                                );
                                 drivefi_obs::emit_event(
                                     &self.dir,
                                     "lease_takeover",

@@ -27,13 +27,13 @@ use crate::log::{
 use crate::record::CampaignRecord;
 use crate::trace::{rebuild_traces, scan_trace_shard, TraceRecord};
 use crate::StoreError;
-use drivefi_obs::{metrics, EventLog, Field};
+use drivefi_obs::{EventLog, Field};
 use std::collections::{BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.toml";
@@ -658,7 +658,6 @@ impl StoreWriter {
             checkpoint_every,
             events: EventLog::open(dir),
         };
-        metrics::counter_add(metrics::Counter::Resumes, 1);
         writer.events.emit(
             "resume",
             &[
@@ -763,7 +762,6 @@ impl StoreWriter {
     ///
     /// Returns a [`StoreError`] on I/O failure.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
-        let began = Instant::now();
         // Trace shards flush before outcome shards: a crash between the
         // two leaves traces without their outcome record (the job just
         // reruns), never a record claiming a trace that isn't there.
@@ -786,11 +784,6 @@ impl StoreWriter {
         // keeps persisting keeps its shards.
         self.leases.heartbeat()?;
         self.since_checkpoint = 0;
-        metrics::counter_add(metrics::Counter::Checkpoints, 1);
-        metrics::hist_record(
-            metrics::Hist::CheckpointLatencyUs,
-            began.elapsed().as_micros() as u64,
-        );
         self.events.emit("checkpoint", &[("records", Field::Int(self.persisted as i64))]);
         Ok(())
     }
@@ -843,7 +836,6 @@ pub fn seal_store(dir: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
     let sealed = StoreMeta { checkpoint_records: records.len() as u64, complete: true, ..meta };
     write_manifest(dir, &sealed)?;
     leases.release()?;
-    metrics::counter_add(metrics::Counter::Seals, 1);
     drivefi_obs::emit_event(dir, "seal", &[("records", Field::Int(records.len() as i64))]);
     Ok(sealed)
 }
@@ -1035,7 +1027,6 @@ pub fn compact_store(dir: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
     let result = compact_locked(dir);
     leases.release()?;
     if let Ok(compacted) = &result {
-        metrics::counter_add(metrics::Counter::Compactions, 1);
         drivefi_obs::emit_event(
             dir,
             "compact",

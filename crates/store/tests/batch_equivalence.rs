@@ -1,10 +1,10 @@
-//! Batched-vs-scalar equivalence at the persistence boundary: for every
+//! Engine-vs-scalar equivalence at the persistence boundary: for every
 //! builtin scenario family, faulted and golden jobs executed by the
-//! batched campaign engine must produce **byte-identical**
-//! [`CampaignRecord`] payloads and identical per-scene trace frames to a
-//! scalar [`Simulation::run_with`] of the same job — at every batch
-//! width. The batch knob is scheduling only; the record a campaign
-//! persists cannot depend on it.
+//! campaign engine (chunked, with golden-prefix forks) must produce
+//! **byte-identical** [`CampaignRecord`] payloads and identical
+//! per-scene trace frames to a fresh [`Simulation::run_with`] of the same
+//! job — at every chunk size. The batch knob is scheduling only; the
+//! record a campaign persists cannot depend on it.
 
 use drivefi_ads::Signal;
 use drivefi_fault::{Fault, FaultKind, FaultWindow, Injector, ScalarFaultModel};
@@ -14,8 +14,8 @@ use drivefi_world::{FamilyRegistry, ScenarioConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Batch widths under test: degenerate (scalar-shaped), ragged (jobs do
-/// not fill a chunk), and the default-sized lane count.
+/// Chunk sizes under test: degenerate (one job per chunk), ragged (jobs
+/// do not fill a chunk), and the default chunk size.
 const WIDTHS: [usize; 3] = [1, 7, 32];
 
 /// A short scenario from a builtin family (6 s = 45 scenes keeps the
@@ -55,7 +55,7 @@ fn scalar_record(config: SimConfig, job: &CampaignJob) -> (Vec<u8>, Option<drive
     (bytes, report.trace)
 }
 
-/// Runs `jobs` through the batched engine at every width and asserts
+/// Runs `jobs` through the campaign engine at every width and asserts
 /// byte-identical records and identical traces against the scalar path.
 fn assert_equivalent(config: SimConfig, jobs: &[CampaignJob]) -> Result<(), TestCaseError> {
     let reference: Vec<_> = jobs.iter().map(|job| scalar_record(config, job)).collect();
