@@ -9,7 +9,8 @@
 //! ```
 
 use drivefi_ads::AdsConfig;
-use drivefi_core::{random_output_campaign, RandomCampaignConfig};
+use drivefi_core::{random_space_campaign, RandomCampaignConfig};
+use drivefi_fault::FaultSpace;
 use drivefi_sim::SimConfig;
 use drivefi_world::ScenarioSuite;
 
@@ -33,7 +34,7 @@ fn main() {
     for (name, ads) in configs {
         let sim = SimConfig { ads, ..SimConfig::default() };
         let cfg = RandomCampaignConfig { runs, seed: 0xE7, workers };
-        let stats = random_output_campaign(&sim, &suite, &cfg);
+        let stats = random_space_campaign(&sim, &suite, &FaultSpace::default(), &cfg);
         println!(
             "| {name:28} | {:7} | {:10} | {:6.2}% |",
             stats.hazards,

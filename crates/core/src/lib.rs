@@ -21,8 +21,9 @@
 //!    (Eq. 1).
 //! 4. **Validation** ([`validate_candidates`]) re-simulates each mined
 //!    fault with the real injector and classifies outcomes, and
-//!    [`random_output_campaign`] provides the random-FI baseline the
-//!    paper compares against.
+//!    [`random_space_campaign`] over the default
+//!    [`FaultSpace`](drivefi_fault::FaultSpace) provides the random-FI
+//!    baseline the paper compares against.
 //!
 //! # Example
 //!
@@ -54,8 +55,8 @@ pub use exhaustive::{
 pub use golden::{collect_golden_traces, golden_record_metas};
 pub use miner::{BayesianMiner, CandidateFault, MinedFault, MinerConfig};
 pub use random::{
-    pick_record_metas, random_fault_picks, random_output_campaign, random_space_campaign,
-    RandomCampaignConfig, RandomCampaignStats,
+    pick_record_metas, random_fault_picks, random_space_campaign, RandomCampaignConfig,
+    RandomCampaignStats,
 };
 pub use report::{validate_candidates, AccelerationReport, ValidationStats};
 pub use situations::{Situation, SituationLibrary, TestRule};

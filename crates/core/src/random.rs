@@ -138,17 +138,6 @@ pub fn random_space_campaign(
     }
 }
 
-/// The paper-baseline wrapper: [`random_space_campaign`] over the
-/// default [`FaultSpace`] (every signal × {min, max}, single-scene
-/// windows over the scenario interior).
-pub fn random_output_campaign(
-    sim: &SimConfig,
-    suite: &ScenarioSuite,
-    config: &RandomCampaignConfig,
-) -> RandomCampaignStats {
-    random_space_campaign(sim, suite, &FaultSpace::default(), config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +147,8 @@ mod tests {
     fn small_random_campaign_mostly_safe() {
         let suite = ScenarioSuite::generate(8, 42);
         let config = RandomCampaignConfig { runs: 60, seed: 1, workers: 8 };
-        let stats = random_output_campaign(&SimConfig::default(), &suite, &config);
+        let stats =
+            random_space_campaign(&SimConfig::default(), &suite, &FaultSpace::default(), &config);
         assert_eq!(stats.runs, 60);
         assert_eq!(stats.safe + stats.hazards + stats.collisions, 60);
         // The paper's headline: random injections essentially never
@@ -171,8 +161,9 @@ mod tests {
     fn campaign_is_reproducible() {
         let suite = ScenarioSuite::generate(4, 42);
         let config = RandomCampaignConfig { runs: 20, seed: 9, workers: 4 };
-        let a = random_output_campaign(&SimConfig::default(), &suite, &config);
-        let b = random_output_campaign(&SimConfig::default(), &suite, &config);
+        let space = FaultSpace::default();
+        let a = random_space_campaign(&SimConfig::default(), &suite, &space, &config);
+        let b = random_space_campaign(&SimConfig::default(), &suite, &space, &config);
         assert_eq!(a.safe, b.safe);
         assert_eq!(a.hazards, b.hazards);
     }

@@ -254,10 +254,7 @@ impl AdaptiveProgress {
 
     fn save(&self, dir: &Path) -> Result<(), PlanError> {
         let path = dir.join(ROUNDS_FILE);
-        let tmp = dir.join(format!(".{ROUNDS_FILE}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, self.to_toml())
-            .map_err(|e| PlanError::new(format!("writing {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
+        drivefi_store::replace_file(&path, self.to_toml().as_bytes())
             .map_err(|e| PlanError::new(format!("replacing {}: {e}", path.display())))
     }
 }

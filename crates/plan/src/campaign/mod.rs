@@ -442,10 +442,7 @@ impl ControlVerdict {
 
     fn save(&self, dir: &std::path::Path) -> Result<(), PlanError> {
         let path = dir.join(CONTROL_FILE);
-        let tmp = dir.join(format!(".{CONTROL_FILE}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, self.to_toml())
-            .map_err(|e| PlanError::new(format!("writing {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
+        drivefi_store::replace_file(&path, self.to_toml().as_bytes())
             .map_err(|e| PlanError::new(format!("replacing {}: {e}", path.display())))
     }
 }

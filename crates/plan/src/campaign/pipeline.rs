@@ -27,8 +27,7 @@ use drivefi_fault::FaultSpec;
 use drivefi_obs::{EventLog, Field};
 use drivefi_sim::{CampaignJob, RunningStats, SimConfig, Tee};
 use drivefi_store::{
-    open_store, open_store_with_traces, read_manifest, read_store, CampaignRecord, RecordMeta,
-    StoreSink,
+    open_store, open_store_with_traces, read_store, CampaignRecord, RecordMeta, StoreSink,
 };
 use drivefi_world::{ScenarioConfig, ScenarioSuite};
 use std::path::{Path, PathBuf};
@@ -64,20 +63,6 @@ impl Stage {
     /// Total job count of the stage.
     pub fn total(&self) -> u64 {
         self.metas.len() as u64
-    }
-
-    /// Whether the stage's store already holds every job under the
-    /// right identity — true ⇒ running the stage is a pure replay
-    /// (reads records, simulates nothing, spends no budget).
-    #[allow(dead_code)] // Exercised by the adaptive loop's tests.
-    pub fn is_complete(&self) -> bool {
-        matches!(
-            read_manifest(&self.dir),
-            Ok(meta)
-                if meta.complete
-                    && meta.fingerprint == self.fingerprint
-                    && meta.total_jobs == self.total()
-        )
     }
 }
 

@@ -103,12 +103,11 @@ pub fn submit_plan(root: &Path, plan_path: &Path) -> Result<String, ServeError> 
     std::fs::create_dir_all(&spool).map_err(|e| io_err("creating", &spool, e))?;
     let id = free_id(root, &slug(&plan.name));
 
-    // Dot-prefixed temp name: the claim scan skips dotfiles, so a
-    // half-written submission is never claimed.
-    let tmp = spool.join(format!(".{id}.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, emit_campaign_plan(&plan)).map_err(|e| io_err("writing", &tmp, e))?;
+    // replace_file writes a dot-prefixed temp file first: the claim scan
+    // skips dotfiles, so a half-written submission is never claimed.
     let dest = spool.join(format!("{id}.toml"));
-    std::fs::rename(&tmp, &dest).map_err(|e| io_err("spooling", &dest, e))?;
+    drivefi_store::replace_file(&dest, emit_campaign_plan(&plan).as_bytes())
+        .map_err(|e| io_err("spooling", &dest, e))?;
     Ok(id)
 }
 

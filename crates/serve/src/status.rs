@@ -207,10 +207,7 @@ impl CampaignStatus {
     /// Returns a [`ServeError`] on I/O failure.
     pub fn save(&self, dir: &Path) -> Result<(), ServeError> {
         let path = dir.join(STATUS_FILE);
-        let tmp = dir.join(format!(".{STATUS_FILE}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, self.to_toml())
-            .map_err(|e| ServeError::new(format!("writing {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
+        drivefi_store::replace_file(&path, self.to_toml().as_bytes())
             .map_err(|e| ServeError::new(format!("replacing {}: {e}", path.display())))
     }
 

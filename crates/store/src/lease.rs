@@ -1,29 +1,29 @@
-//! Shard leases: per-writer lock files that let N processes append to
-//! disjoint shard ranges of one store concurrently.
+//! The store lease: one lock file that keeps a store directory to one
+//! live writer at a time.
 //!
-//! Every writer claims one `lease-NNN.lock` file per shard it owns,
-//! created beside the manifest with `O_CREAT | O_EXCL` (so exactly one
-//! claimant wins) and carrying the owner id and pid:
+//! A writer claims `lease.lock` beside the manifest with
+//! `O_CREAT | O_EXCL` (so exactly one claimant wins), recording its
+//! owner id and pid:
 //!
 //! ```text
 //! out/run1/
 //!   manifest.toml
 //!   shard-000.log
-//!   lease-000.lock   # owner = serve-batch7 / pid = 4242
+//!   lease.lock      # owner = pid-4242 / pid = 4242
 //! ```
 //!
 //! The file's mtime is the lease heartbeat: the holder refreshes it at
 //! every checkpoint. A lease is **stale** — and may be taken over — when
 //! its holder's pid is dead, or when the heartbeat is older than the
 //! takeover timeout (the fallback for platforms without `/proc`, and
-//! the bound on how long a wedged-but-alive writer can squat on a
-//! shard). Takeover is race-free without fcntl locks: the claimant
+//! the bound on how long a wedged-but-alive writer can squat on the
+//! store). Takeover is race-free without fcntl locks: the claimant
 //! atomically renames the stale lock to a private name (exactly one
 //! renamer succeeds), deletes it, and claims fresh with `create_new`.
 //!
-//! A kill -9'd writer leaves its locks behind with a dead pid, so a
-//! restarting daemon reclaims them instantly; a cleanly dropped
-//! [`LeaseSet`] removes its locks on the way out.
+//! A kill -9'd writer leaves its lock behind with a dead pid, so a
+//! restarting daemon reclaims it instantly; a cleanly dropped
+//! [`LeaseSet`] removes its lock on the way out.
 
 use crate::StoreError;
 use std::path::{Path, PathBuf};
@@ -35,9 +35,9 @@ use std::time::Duration;
 /// without persisting anything.
 pub const DEFAULT_LEASE_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// The lock-file path guarding shard `index` of the store at `dir`.
-pub fn lease_path(dir: &Path, index: u32) -> PathBuf {
-    dir.join(format!("lease-{index:03}.lock"))
+/// The lock-file path guarding the store at `dir`.
+pub fn lease_path(dir: &Path) -> PathBuf {
+    dir.join("lease.lock")
 }
 
 /// A default lease owner id for this process.
@@ -48,8 +48,6 @@ pub fn default_owner() -> String {
 /// What a lease lock file says about its holder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseInfo {
-    /// Shard index the lease guards.
-    pub shard: u32,
     /// Holder's self-declared owner id.
     pub owner: String,
     /// Holder's pid at claim time.
@@ -61,7 +59,7 @@ impl LeaseInfo {
         format!("owner = {}\npid = {}\n", self.owner, self.pid)
     }
 
-    fn parse(shard: u32, src: &str) -> Option<LeaseInfo> {
+    fn parse(src: &str) -> Option<LeaseInfo> {
         let mut owner = None;
         let mut pid = None;
         for line in src.lines() {
@@ -72,7 +70,7 @@ impl LeaseInfo {
                 _ => return None,
             }
         }
-        Some(LeaseInfo { shard, owner: owner?, pid: pid? })
+        Some(LeaseInfo { owner: owner?, pid: pid? })
     }
 }
 
@@ -86,57 +84,15 @@ fn pid_alive(pid: u32) -> Option<bool> {
     Some(Path::new(&format!("/proc/{pid}")).exists())
 }
 
-/// What examining an existing lock file concluded.
-enum LeaseCheck {
-    /// Live holder — claiming must fail.
-    Fresh(String),
-    /// Dead holder or expired heartbeat — claimant may take over.
-    Stale,
-    /// The lock vanished while examining it (holder released).
-    Gone,
-}
-
-fn examine(path: &Path, shard: u32, timeout: Duration) -> LeaseCheck {
-    let src = match std::fs::read_to_string(path) {
-        Ok(src) => src,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LeaseCheck::Gone,
-        // Unreadable lock: treat as held and let the mtime decide below.
-        Err(_) => String::new(),
-    };
-    let age = std::fs::metadata(path)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|mtime| mtime.elapsed().ok());
-    let info = LeaseInfo::parse(shard, &src);
-    // A holder whose pid is provably dead is stale immediately — this is
-    // what makes kill -9 + restart reclaim the store without waiting out
-    // the timeout. Otherwise the heartbeat decides.
-    if let Some(info) = &info {
-        if pid_alive(info.pid) == Some(false) {
-            return LeaseCheck::Stale;
-        }
-    }
-    if age.is_some_and(|age| age > timeout) {
-        return LeaseCheck::Stale;
-    }
-    let holder = info.map_or_else(
-        || "an unreadable holder".to_string(),
-        |info| format!("`{}` (pid {})", info.owner, info.pid),
-    );
-    let age = age.map_or_else(String::new, |age| format!(", heartbeat {}s ago", age.as_secs()));
-    LeaseCheck::Fresh(format!("{holder}{age}"))
-}
-
-/// Externally observable state of one shard's lease lock, for status
-/// displays and diagnostics. A read-only probe: unlike
-/// [`LeaseSet::acquire`] it never claims, steals, or touches the lock.
+/// Externally observable state of a store's lease lock, for status
+/// displays and diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LeaseState {
-    /// No lock file — no writer holds the shard.
+    /// No lock file — no writer holds the store.
     Unheld,
     /// Held by a live writer (pid alive, heartbeat current).
     Live {
-        /// Holder description, e.g. `` `serve-batch7` (pid 4242) ``.
+        /// Holder description, e.g. `` `pid-4242` (pid 4242), heartbeat 3s ago ``.
         holder: String,
     },
     /// A lock left behind by a dead or timed-out writer.
@@ -146,26 +102,36 @@ pub enum LeaseState {
     },
 }
 
-/// Reports the lease state of shard `index` of the store at `dir`,
-/// using the same staleness rules as acquisition (dead holder pid, or
-/// heartbeat older than `timeout`).
-pub fn probe_lease(dir: &Path, index: u32, timeout: Duration) -> LeaseState {
-    let path = lease_path(dir, index);
+/// Reports the lease state of the store at `dir`, by the rules
+/// acquisition uses: a lock whose holder pid is provably dead, or whose
+/// heartbeat is older than `timeout`, is stale. A read-only probe:
+/// unlike [`LeaseSet::acquire`] it never claims, steals, or touches the
+/// lock.
+pub fn probe_lease(dir: &Path, timeout: Duration) -> LeaseState {
+    let path = lease_path(dir);
     let src = match std::fs::read_to_string(&path) {
         Ok(src) => src,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LeaseState::Unheld,
+        // Unreadable lock: treat as held and let the mtime decide below.
         Err(_) => String::new(),
     };
     let age = std::fs::metadata(&path)
         .and_then(|m| m.modified())
         .ok()
         .and_then(|mtime| mtime.elapsed().ok());
-    let info = LeaseInfo::parse(index, &src);
+    let info = LeaseInfo::parse(&src);
+    // A holder whose pid is provably dead is stale immediately — this is
+    // what makes kill -9 + restart reclaim the store without waiting out
+    // the timeout. Otherwise the heartbeat decides.
     let dead = info.as_ref().is_some_and(|info| pid_alive(info.pid) == Some(false));
     let holder = info.map_or_else(
         || "an unreadable holder".to_string(),
         |info| format!("`{}` (pid {})", info.owner, info.pid),
     );
+    let holder = match age {
+        Some(age) => format!("{holder}, heartbeat {}s ago", age.as_secs()),
+        None => holder,
+    };
     if dead || age.is_some_and(|age| age > timeout) {
         LeaseState::Stale { holder }
     } else {
@@ -173,87 +139,67 @@ pub fn probe_lease(dir: &Path, index: u32, timeout: Duration) -> LeaseState {
     }
 }
 
-/// The set of shard leases one writer holds over a store directory.
-/// Acquired by [`LeaseSet::acquire`]; heartbeated at every checkpoint;
-/// released (lock files removed) by [`LeaseSet::release`] or on drop.
+/// The lease one writer holds over a store directory. Acquired by
+/// [`LeaseSet::acquire`]; heartbeated at every checkpoint; released
+/// (lock file removed) by [`LeaseSet::release`] or on drop.
 #[derive(Debug)]
 pub struct LeaseSet {
     dir: PathBuf,
     owner: String,
-    shards: Vec<u32>,
     released: bool,
 }
 
 impl LeaseSet {
-    /// Claims the lease for every shard in `shards`, taking over stale
-    /// locks (dead holder pid, or heartbeat older than `timeout`) and
-    /// refusing fresh ones. On failure nothing stays claimed.
+    /// Claims the lease on the store at `dir`, taking over a stale lock
+    /// (dead holder pid, or heartbeat older than `timeout`) and refusing
+    /// a fresh one.
     ///
     /// # Errors
     ///
-    /// Returns a [`StoreError`] naming the live holder when a shard is
+    /// Returns a [`StoreError`] naming the live holder when the store is
     /// already leased, or on I/O failure.
-    pub fn acquire(
-        dir: &Path,
-        shards: impl IntoIterator<Item = u32>,
-        owner: &str,
-        timeout: Duration,
-    ) -> Result<LeaseSet, StoreError> {
-        let mut set = LeaseSet {
-            dir: dir.to_path_buf(),
-            owner: owner.to_string(),
-            shards: Vec::new(),
-            released: false,
-        };
-        for shard in shards {
-            set.claim_one(shard, timeout)?;
-            set.shards.push(shard);
-        }
-        Ok(set)
-    }
-
-    fn claim_one(&self, shard: u32, timeout: Duration) -> Result<(), StoreError> {
-        let path = lease_path(&self.dir, shard);
-        let info = LeaseInfo { shard, owner: self.owner.clone(), pid: std::process::id() };
+    pub fn acquire(dir: &Path, owner: &str, timeout: Duration) -> Result<LeaseSet, StoreError> {
+        let path = lease_path(dir);
+        let info = LeaseInfo { owner: owner.to_string(), pid: std::process::id() };
         // Bounded retries: each loop either claims, steals a stale lock,
         // or observes a fresh holder and fails. Two claimants racing the
         // same stale lock need one extra pass, never more.
         for _ in 0..8 {
             match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(file) => {
+                Ok(mut file) => {
                     use std::io::Write;
-                    let mut file = file;
                     file.write_all(info.emit().as_bytes())
                         .map_err(|e| io_err("writing", &path, e))?;
-                    return Ok(());
+                    return Ok(LeaseSet {
+                        dir: dir.to_path_buf(),
+                        owner: info.owner,
+                        released: false,
+                    });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    match examine(&path, shard, timeout) {
-                        LeaseCheck::Fresh(holder) => {
+                    match probe_lease(dir, timeout) {
+                        LeaseState::Live { holder } => {
                             return Err(StoreError::new(format!(
-                                "shard {shard} of {} is leased by {holder} — another \
-                                 writer is active",
-                                self.dir.display()
+                                "{} is leased by {holder} — another writer is active",
+                                dir.display()
                             )));
                         }
-                        LeaseCheck::Gone => {}
-                        LeaseCheck::Stale => {
+                        // The holder released while we looked: claim again.
+                        LeaseState::Unheld => {}
+                        LeaseState::Stale { .. } => {
                             // Atomic steal: exactly one claimant wins the
                             // rename; the losers loop and re-examine.
-                            let grave = self
-                                .dir
-                                .join(format!("lease-{shard:03}.stale.{}", std::process::id()));
+                            let grave = dir.join(format!("lease.stale.{}", std::process::id()));
                             if std::fs::rename(&path, &grave).is_ok() {
                                 let prev = std::fs::read_to_string(&grave)
                                     .ok()
-                                    .and_then(|src| LeaseInfo::parse(shard, &src));
+                                    .and_then(|src| LeaseInfo::parse(&src));
                                 std::fs::remove_file(&grave)
                                     .map_err(|e| io_err("removing", &grave, e))?;
                                 drivefi_obs::emit_event(
-                                    &self.dir,
+                                    dir,
                                     "lease_takeover",
                                     &[
-                                        ("shard", drivefi_obs::Field::Int(i64::from(shard))),
                                         (
                                             "from",
                                             drivefi_obs::Field::Str(prev.map_or_else(
@@ -261,7 +207,7 @@ impl LeaseSet {
                                                 |p| p.owner,
                                             )),
                                         ),
-                                        ("to", drivefi_obs::Field::Str(self.owner.clone())),
+                                        ("to", drivefi_obs::Field::Str(info.owner.clone())),
                                     ],
                                 );
                             }
@@ -271,31 +217,24 @@ impl LeaseSet {
                 Err(e) => return Err(io_err("claiming", &path, e)),
             }
         }
-        Err(StoreError::new(format!(
-            "shard {shard} of {}: lease claim kept losing takeover races",
-            self.dir.display()
-        )))
+        Err(StoreError::new(format!("{}: lease claim kept losing takeover races", dir.display())))
     }
 
-    /// Refreshes every held lease's heartbeat mtime (rewriting the lock
-    /// content in place — a concurrent examiner that catches the file
-    /// mid-write falls back to the just-refreshed mtime).
+    /// Refreshes the lease's heartbeat mtime (rewriting the lock content
+    /// in place — a concurrent prober that catches the file mid-write
+    /// falls back to the just-refreshed mtime).
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] on I/O failure.
     pub fn heartbeat(&self) -> Result<(), StoreError> {
-        let pid = std::process::id();
-        for &shard in &self.shards {
-            let path = lease_path(&self.dir, shard);
-            let info = LeaseInfo { shard, owner: self.owner.clone(), pid };
-            std::fs::write(&path, info.emit()).map_err(|e| io_err("heartbeating", &path, e))?;
-        }
-        Ok(())
+        let path = lease_path(&self.dir);
+        let info = LeaseInfo { owner: self.owner.clone(), pid: std::process::id() };
+        std::fs::write(&path, info.emit()).map_err(|e| io_err("heartbeating", &path, e))
     }
 
-    /// Removes every held lock file. Idempotent; also runs on drop
-    /// (best-effort there).
+    /// Removes the lock file. Idempotent; also runs on drop (best-effort
+    /// there).
     ///
     /// # Errors
     ///
@@ -305,15 +244,12 @@ impl LeaseSet {
             return Ok(());
         }
         self.released = true;
-        for &shard in &self.shards {
-            let path = lease_path(&self.dir, shard);
-            match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(io_err("releasing", &path, e)),
-            }
+        let path = lease_path(&self.dir);
+        match std::fs::remove_file(&path) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(io_err("releasing", &path, e)),
         }
-        Ok(())
     }
 }
 
@@ -338,23 +274,28 @@ mod tests {
         dir
     }
 
+    /// Backdates the lock's mtime by an hour.
+    fn expire(dir: &Path) {
+        let file = std::fs::OpenOptions::new().write(true).open(lease_path(dir)).unwrap();
+        let past = std::time::SystemTime::now() - Duration::from_secs(3600);
+        file.set_times(std::fs::FileTimes::new().set_modified(past)).unwrap();
+    }
+
     #[test]
-    fn disjoint_ranges_coexist_and_overlaps_are_refused() {
-        let dir = temp_dir("disjoint");
-        let a = LeaseSet::acquire(&dir, 0..2, "writer-a", DEFAULT_LEASE_TIMEOUT).unwrap();
-        let b = LeaseSet::acquire(&dir, 2..4, "writer-b", DEFAULT_LEASE_TIMEOUT).unwrap();
-        let err = LeaseSet::acquire(&dir, 1..3, "writer-c", DEFAULT_LEASE_TIMEOUT)
-            .expect_err("shard 1 is held");
-        assert!(err.to_string().contains("writer-a"), "got: {err}");
-        // The failed acquire left shard 2 claimable state untouched: b
-        // still holds it, and a fresh claim of b's range still fails.
-        let err = LeaseSet::acquire(&dir, 2..3, "writer-c", DEFAULT_LEASE_TIMEOUT)
-            .expect_err("shard 2 is held");
-        assert!(err.to_string().contains("writer-b"), "got: {err}");
+    fn live_lease_refuses_a_second_writer_until_dropped() {
+        let dir = temp_dir("live");
+        let a = LeaseSet::acquire(&dir, "writer-a", DEFAULT_LEASE_TIMEOUT).unwrap();
+        assert!(matches!(probe_lease(&dir, DEFAULT_LEASE_TIMEOUT), LeaseState::Live { .. }));
+        let err =
+            LeaseSet::acquire(&dir, "writer-b", DEFAULT_LEASE_TIMEOUT).expect_err("store is held");
+        assert!(err.to_string().contains("leased by `writer-a`"), "got: {err}");
+        // The refused claim left a's lock in place.
+        let src = std::fs::read_to_string(lease_path(&dir)).unwrap();
+        assert!(src.contains("writer-a"), "lock rewritten by a refused claim: {src}");
         drop(a);
-        drop(b);
-        // Dropping released the locks: the full range is claimable.
-        LeaseSet::acquire(&dir, 0..4, "writer-c", DEFAULT_LEASE_TIMEOUT).unwrap();
+        // Dropping released the lock: the store is claimable again.
+        assert_eq!(probe_lease(&dir, DEFAULT_LEASE_TIMEOUT), LeaseState::Unheld);
+        LeaseSet::acquire(&dir, "writer-b", DEFAULT_LEASE_TIMEOUT).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -363,73 +304,55 @@ mod tests {
         let dir = temp_dir("deadpid");
         // No real pid can reach u32::MAX (Linux pid_max caps at 2^22),
         // so this holder is provably dead.
-        let corpse = LeaseInfo { shard: 0, owner: "crashed".into(), pid: u32::MAX };
-        std::fs::write(lease_path(&dir, 0), corpse.emit()).unwrap();
-        let set = LeaseSet::acquire(&dir, 0..1, "heir", DEFAULT_LEASE_TIMEOUT).unwrap();
-        let src = std::fs::read_to_string(lease_path(&dir, 0)).unwrap();
+        let corpse = LeaseInfo { owner: "crashed".into(), pid: u32::MAX };
+        std::fs::write(lease_path(&dir), corpse.emit()).unwrap();
+        assert!(matches!(probe_lease(&dir, DEFAULT_LEASE_TIMEOUT), LeaseState::Stale { .. }));
+        let set = LeaseSet::acquire(&dir, "heir", DEFAULT_LEASE_TIMEOUT).unwrap();
+        let src = std::fs::read_to_string(lease_path(&dir)).unwrap();
         assert!(src.contains("heir"), "takeover rewrote the lock: {src}");
         drop(set);
-        assert!(!lease_path(&dir, 0).exists());
+        assert!(!lease_path(&dir).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn expired_heartbeat_is_taken_over_and_fresh_one_is_not() {
         let dir = temp_dir("heartbeat");
-        let holder = LeaseInfo { shard: 0, owner: "slow".into(), pid: std::process::id() };
-        std::fs::write(lease_path(&dir, 0), holder.emit()).unwrap();
+        let holder = LeaseInfo { owner: "slow".into(), pid: std::process::id() };
+        std::fs::write(lease_path(&dir), holder.emit()).unwrap();
         // Live pid + fresh mtime: refused.
-        let err =
-            LeaseSet::acquire(&dir, 0..1, "eager", DEFAULT_LEASE_TIMEOUT).expect_err("fresh lease");
+        let err = LeaseSet::acquire(&dir, "eager", DEFAULT_LEASE_TIMEOUT).expect_err("fresh lease");
         assert!(err.to_string().contains("slow"), "got: {err}");
         // Live pid but expired heartbeat: the timeout bounds how long a
         // wedged writer can squat.
-        let file = std::fs::OpenOptions::new().write(true).open(lease_path(&dir, 0)).unwrap();
-        let past = std::time::SystemTime::now() - Duration::from_secs(3600);
-        file.set_times(std::fs::FileTimes::new().set_modified(past)).unwrap();
-        drop(file);
-        LeaseSet::acquire(&dir, 0..1, "eager", Duration::from_secs(60)).unwrap();
+        expire(&dir);
+        LeaseSet::acquire(&dir, "eager", Duration::from_secs(60)).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn heartbeat_refreshes_the_lock() {
         let dir = temp_dir("refresh");
-        let set = LeaseSet::acquire(&dir, 0..2, "steady", DEFAULT_LEASE_TIMEOUT).unwrap();
-        for shard in 0..2 {
-            let file =
-                std::fs::OpenOptions::new().write(true).open(lease_path(&dir, shard)).unwrap();
-            let past = std::time::SystemTime::now() - Duration::from_secs(3600);
-            file.set_times(std::fs::FileTimes::new().set_modified(past)).unwrap();
-        }
+        let set = LeaseSet::acquire(&dir, "steady", DEFAULT_LEASE_TIMEOUT).unwrap();
+        expire(&dir);
         set.heartbeat().unwrap();
-        for shard in 0..2 {
-            let age = std::fs::metadata(lease_path(&dir, shard))
-                .unwrap()
-                .modified()
-                .unwrap()
-                .elapsed()
-                .unwrap();
-            assert!(age < Duration::from_secs(60), "shard {shard} heartbeat did not refresh");
-        }
+        let age = std::fs::metadata(lease_path(&dir)).unwrap().modified().unwrap().elapsed();
+        assert!(age.unwrap() < Duration::from_secs(60), "heartbeat did not refresh");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn unparsable_lock_is_governed_by_its_mtime() {
         let dir = temp_dir("garbage");
-        std::fs::write(lease_path(&dir, 0), "???").unwrap();
+        std::fs::write(lease_path(&dir), "???").unwrap();
         // Recent garbage: held (conservative — might be a mid-write
         // heartbeat).
-        let err = LeaseSet::acquire(&dir, 0..1, "x", DEFAULT_LEASE_TIMEOUT)
+        let err = LeaseSet::acquire(&dir, "x", DEFAULT_LEASE_TIMEOUT)
             .expect_err("recent unreadable lock");
         assert!(err.to_string().contains("unreadable"), "got: {err}");
         // Old garbage: stale.
-        let file = std::fs::OpenOptions::new().write(true).open(lease_path(&dir, 0)).unwrap();
-        let past = std::time::SystemTime::now() - Duration::from_secs(3600);
-        file.set_times(std::fs::FileTimes::new().set_modified(past)).unwrap();
-        drop(file);
-        LeaseSet::acquire(&dir, 0..1, "x", Duration::from_secs(60)).unwrap();
+        expire(&dir);
+        LeaseSet::acquire(&dir, "x", Duration::from_secs(60)).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

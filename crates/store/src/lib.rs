@@ -25,11 +25,10 @@
 //!   one that created it.
 //! * [`StoreSink`] — the [`CampaignSink`](drivefi_sim::CampaignSink)
 //!   adapter: streams engine results straight to disk.
-//! * [`lease`] — per-writer shard leases (lock files with a heartbeat
-//!   mtime and stale-lease takeover), so N processes append to disjoint
-//!   shard ranges of one store concurrently and the merged read equals
-//!   the single-writer result. [`compact_store`] and [`seal_store`]
-//!   claim every lease first, so neither races a live writer.
+//! * [`lease`] — the store lease: one `lease.lock` file (owner, pid,
+//!   heartbeat mtime) that keeps each store directory to one live
+//!   writer. A lease left by a dead or timed-out writer is taken over;
+//!   a live one refuses a second [`open_store`] and [`compact_store`].
 //!
 //! Reads merge the shards deterministically by job index, so a resumed
 //! campaign reconstructs exactly the record sequence an uninterrupted
@@ -49,9 +48,9 @@ pub use lease::{
 pub use record::{CampaignRecord, PAYLOAD_LEN};
 pub use sink::{RecordMeta, StoreSink};
 pub use store::{
-    compact_store, fingerprint64, open_store, open_store_opts, open_store_with_traces,
-    read_manifest, read_store, read_traces, seal_store, shard_progress, ShardProgress, StoreMeta,
-    StoreOptions, StoreState, StoreWriter, MANIFEST_FILE,
+    compact_store, fingerprint64, open_store, open_store_with_traces, read_manifest, read_store,
+    read_traces, replace_file, shard_progress, ShardProgress, StoreMeta, StoreState, StoreWriter,
+    MANIFEST_FILE,
 };
 pub use trace::{rebuild_traces, scan_trace_shard, TraceRecord, TRACE_BASE_LEN};
 

@@ -31,9 +31,7 @@ use drivefi_obs::{EventLog, Field};
 use std::collections::{BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// The manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.toml";
@@ -161,24 +159,15 @@ impl StoreMeta {
 pub struct StoreState {
     done: Vec<u64>,
     records: u64,
-    shards: u32,
-    range: Range<u32>,
     /// True when at least one shard ended in a torn (partial or
     /// CRC-mismatched) record that recovery truncated away.
     pub torn: bool,
 }
 
 impl StoreState {
-    /// An empty state for a fresh store over `total_jobs` jobs whose
-    /// writer owns `range` of the `shards` shard files.
-    fn empty(total_jobs: u64, shards: u32, range: Range<u32>) -> Self {
-        StoreState {
-            done: vec![0; (total_jobs as usize).div_ceil(64)],
-            records: 0,
-            shards,
-            range,
-            torn: false,
-        }
+    /// An empty state for a fresh store over `total_jobs` jobs.
+    fn empty(total_jobs: u64) -> Self {
+        StoreState { done: vec![0; (total_jobs as usize).div_ceil(64)], records: 0, torn: false }
     }
 
     fn mark(&mut self, job: u64) -> bool {
@@ -210,31 +199,22 @@ impl StoreState {
     pub fn records(&self) -> u64 {
         self.records
     }
-
-    /// True when `job` fans out to a shard in this writer's range. A
-    /// scoped writer (see [`StoreOptions::shard_range`]) only recovers
-    /// and may only append jobs it owns — out-of-range jobs always look
-    /// not-done in its state, because their shards were never scanned.
-    pub fn owns(&self, job: u64) -> bool {
-        self.range.contains(&((job % u64::from(self.shards)) as u32))
-    }
 }
 
-/// Append handle over a store directory. Obtain one with [`open_store`];
-/// stream records in with [`StoreWriter::append`] (or the
-/// [`StoreSink`](crate::StoreSink) campaign adapter) and seal the store
-/// with [`StoreWriter::finish`].
+/// Append handle over a store directory — the store's one live writer,
+/// holding its lease for as long as it lives. Obtain one with
+/// [`open_store`]; stream records in with [`StoreWriter::append`] (or
+/// the [`StoreSink`](crate::StoreSink) campaign adapter) and complete
+/// the store with [`StoreWriter::finish`].
 #[derive(Debug)]
 pub struct StoreWriter {
     dir: PathBuf,
     meta: StoreMeta,
-    /// The shard range this writer owns; `shards[i]` writes shard file
-    /// `range.start + i`.
-    range: Range<u32>,
+    /// `shards[i]` writes shard file `i`.
     shards: Vec<BufWriter<File>>,
     /// Trace shard writers, present iff `meta.traces`.
     trace_shards: Option<Vec<BufWriter<File>>>,
-    leases: LeaseSet,
+    lease: LeaseSet,
     persisted: u64,
     since_checkpoint: u64,
     checkpoint_every: u64,
@@ -279,14 +259,19 @@ fn has_orphaned_shards(dir: &Path) -> bool {
 /// manifest, rescans every shard, truncates torn trailing records, and
 /// reports which jobs are already persisted.
 ///
+/// The opener first claims the store's [lease](crate::lease): a lock
+/// left by a dead or timed-out writer is taken over, while a live
+/// writer's refuses the open — a store has at most one writer.
+///
 /// `checkpoint_every` is the append-count period of checkpoint flushes
 /// (buffered writes flushed + synced, manifest atomically rewritten).
 ///
 /// # Errors
 ///
-/// Returns a [`StoreError`] on I/O failure, on a manifest that does not
-/// match the resuming campaign, or on CRC-valid records that no longer
-/// decode (format drift — truncating them would destroy good data).
+/// Returns a [`StoreError`] on I/O failure, when a live writer holds the
+/// store, on a manifest that does not match the resuming campaign, or on
+/// CRC-valid records that no longer decode (format drift — truncating
+/// them would destroy good data).
 pub fn open_store(
     dir: impl AsRef<Path>,
     fingerprint: u64,
@@ -294,7 +279,7 @@ pub fn open_store(
     shards: u32,
     checkpoint_every: u64,
 ) -> Result<(StoreWriter, StoreState), StoreError> {
-    open_store_opts(dir, &StoreOptions::new(fingerprint, total_jobs, shards, checkpoint_every))
+    open(dir.as_ref(), fingerprint, total_jobs, shards, checkpoint_every, false)
 }
 
 /// [`open_store`] for a store that also persists per-scene golden
@@ -315,173 +300,67 @@ pub fn open_store_with_traces(
     shards: u32,
     checkpoint_every: u64,
 ) -> Result<(StoreWriter, StoreState), StoreError> {
-    let opts = StoreOptions::new(fingerprint, total_jobs, shards, checkpoint_every).traces(true);
-    open_store_opts(dir, &opts)
+    open(dir.as_ref(), fingerprint, total_jobs, shards, checkpoint_every, true)
 }
 
-/// How to open a store: identity, layout, and (for multi-writer use)
-/// which shard range this writer owns. [`open_store`] and
-/// [`open_store_with_traces`] are the full-range shorthands.
-#[derive(Debug, Clone)]
-pub struct StoreOptions {
-    /// Fingerprint of the campaign that owns the store.
-    pub fingerprint: u64,
-    /// Total jobs the campaign will produce.
-    pub total_jobs: u64,
-    /// Number of shard files records fan out over.
-    pub shards: u32,
-    /// Append-count period of checkpoint flushes.
-    pub checkpoint_every: u64,
-    /// Persist per-scene golden traces alongside outcomes.
-    pub traces: bool,
-    /// The shard range this writer appends to; `None` means every shard
-    /// (the single-writer case). A scoped writer creates, recovers,
-    /// truncates, and leases **only** its own shards — other ranges may
-    /// be live under concurrent writers — and its
-    /// [`finish`](StoreWriter::finish) never marks the store complete
-    /// (that is [`seal_store`], a coordinator's move).
-    pub shard_range: Option<Range<u32>>,
-    /// Lease owner id recorded in this writer's lock files.
-    pub owner: String,
-    /// Heartbeat age past which another claimant may take over this
-    /// writer's leases (and past which this writer's open steals leases
-    /// it finds).
-    pub lease_timeout: Duration,
-}
-
-impl StoreOptions {
-    /// Full-range, trace-less options with the default lease policy.
-    pub fn new(fingerprint: u64, total_jobs: u64, shards: u32, checkpoint_every: u64) -> Self {
-        StoreOptions {
-            fingerprint,
-            total_jobs,
-            shards,
-            checkpoint_every,
-            traces: false,
-            shard_range: None,
-            owner: default_owner(),
-            lease_timeout: DEFAULT_LEASE_TIMEOUT,
-        }
-    }
-
-    /// Persist golden traces alongside outcomes.
-    #[must_use]
-    pub fn traces(mut self, traces: bool) -> Self {
-        self.traces = traces;
-        self
-    }
-
-    /// Restrict this writer to `range` of the shard files.
-    #[must_use]
-    pub fn shard_range(mut self, range: Range<u32>) -> Self {
-        self.shard_range = Some(range);
-        self
-    }
-
-    /// Lease owner id recorded in this writer's lock files.
-    #[must_use]
-    pub fn owner(mut self, owner: impl Into<String>) -> Self {
-        self.owner = owner.into();
-        self
-    }
-
-    /// Stale-lease takeover timeout.
-    #[must_use]
-    pub fn lease_timeout(mut self, timeout: Duration) -> Self {
-        self.lease_timeout = timeout;
-        self
-    }
-
-    fn range(&self) -> Range<u32> {
-        self.shard_range.clone().unwrap_or(0..self.shards)
-    }
-}
-
-/// [`open_store`] with explicit [`StoreOptions`] — the entry point for
-/// scoped multi-writer opens. Acquires the lease on every shard in the
-/// writer's range before touching any shard file (stale leases from
-/// dead or timed-out writers are taken over; fresh ones refuse the
-/// open), so N processes with disjoint ranges append to one store
-/// concurrently and the merged [`read_store`] equals what a single
-/// writer would have produced.
-///
-/// # Errors
-///
-/// See [`open_store`]; additionally errors when a shard in the range is
-/// leased by a live writer.
-pub fn open_store_opts(
-    dir: impl AsRef<Path>,
-    opts: &StoreOptions,
+fn open(
+    dir: &Path,
+    fingerprint: u64,
+    total_jobs: u64,
+    shards: u32,
+    checkpoint_every: u64,
+    traces: bool,
 ) -> Result<(StoreWriter, StoreState), StoreError> {
-    let dir = dir.as_ref();
-    assert!(opts.shards > 0, "a store needs at least one shard");
-    assert!(opts.checkpoint_every > 0, "checkpoint period must be at least 1");
-    let range = opts.range();
-    assert!(
-        range.start < range.end && range.end <= opts.shards,
-        "shard range {range:?} is not a non-empty subrange of 0..{}",
-        opts.shards
-    );
+    assert!(shards > 0, "a store needs at least one shard");
+    assert!(checkpoint_every > 0, "checkpoint period must be at least 1");
     let meta = StoreMeta {
         format: FORMAT_VERSION,
-        fingerprint: opts.fingerprint,
-        total_jobs: opts.total_jobs,
-        shards: opts.shards,
+        fingerprint,
+        total_jobs,
+        shards,
         checkpoint_records: 0,
         complete: false,
-        traces: opts.traces,
+        traces,
     };
     std::fs::create_dir_all(dir).map_err(|e| io_err("creating", dir, e))?;
-    // Leases first: everything after this — manifest probe, shard scans,
-    // truncation — happens with the range exclusively owned.
-    let leases = LeaseSet::acquire(dir, range.clone(), &opts.owner, opts.lease_timeout)?;
+    // Lease first: everything after this — manifest probe, shard scans,
+    // truncation — happens with the store exclusively owned.
+    let lease = LeaseSet::acquire(dir, &default_owner(), DEFAULT_LEASE_TIMEOUT)?;
     if dir.join(MANIFEST_FILE).is_file() {
-        StoreWriter::recover(dir, meta, range, leases, opts.checkpoint_every)
-    } else {
-        // Shard files without a manifest mean a store whose manifest was
-        // lost, not a fresh directory — creating here would truncate
-        // every persisted record. Refuse; the fix (restore or delete the
-        // directory) is a human decision. (Concurrent creation is not
-        // this: a fresh store writes its manifest before any shard file,
-        // so a racing writer either sees the manifest or no shards.)
-        if has_orphaned_shards(dir) {
-            // A concurrent writer may have created the store (manifest
-            // first, then shards) between our manifest probe and this
-            // scan — that is a store to recover, not an orphan.
-            if dir.join(MANIFEST_FILE).is_file() {
-                return StoreWriter::recover(dir, meta, range, leases, opts.checkpoint_every);
-            }
-            return Err(StoreError::new(format!(
-                "{}: shard files exist but {MANIFEST_FILE} is missing — refusing to \
-                 overwrite what looks like a store that lost its manifest (delete the \
-                 directory to start over)",
-                dir.display()
-            )));
-        }
-        let state = StoreState::empty(opts.total_jobs, opts.shards, range.clone());
-        let writer = StoreWriter::create(dir, meta, range, leases, opts.checkpoint_every)?;
-        Ok((writer, state))
+        return StoreWriter::recover(dir, meta, lease, checkpoint_every);
     }
+    // Shard files without a manifest mean a store whose manifest was
+    // lost, not a fresh directory — creating here would truncate every
+    // persisted record. Refuse; the fix (restore or delete the
+    // directory) is a human decision.
+    if has_orphaned_shards(dir) {
+        return Err(StoreError::new(format!(
+            "{}: shard files exist but {MANIFEST_FILE} is missing — refusing to \
+             overwrite what looks like a store that lost its manifest (delete the \
+             directory to start over)",
+            dir.display()
+        )));
+    }
+    let writer = StoreWriter::create(dir, meta, lease, checkpoint_every)?;
+    Ok((writer, StoreState::empty(total_jobs)))
 }
 
 impl StoreWriter {
     fn create(
         dir: &Path,
         meta: StoreMeta,
-        range: Range<u32>,
-        leases: LeaseSet,
+        lease: LeaseSet,
         checkpoint_every: u64,
     ) -> Result<StoreWriter, StoreError> {
-        // Manifest before any shard file: a racing writer (or a crash
-        // here) must never leave shards that look like an orphaned
-        // store. A manifest with zero shard files recovers cleanly —
-        // missing shards scan as empty.
+        // Manifest before any shard file: a crash here must never leave
+        // shards that look like an orphaned store. A manifest with zero
+        // shard files recovers cleanly — missing shards scan as empty.
         write_manifest(dir, &meta)?;
         let create_shards = |path_of: fn(&Path, u32) -> PathBuf,
                              magic: &[u8; 8]|
          -> Result<Vec<BufWriter<File>>, StoreError> {
-            let mut shards = Vec::with_capacity(range.len());
-            for index in range.clone() {
+            let mut shards = Vec::with_capacity(meta.shards as usize);
+            for index in 0..meta.shards {
                 let path = path_of(dir, index);
                 let file = File::create(&path).map_err(|e| io_err("creating", &path, e))?;
                 let mut writer = BufWriter::new(file);
@@ -496,10 +375,9 @@ impl StoreWriter {
         let mut writer = StoreWriter {
             dir: dir.to_path_buf(),
             meta,
-            range,
             shards,
             trace_shards,
-            leases,
+            lease,
             persisted: 0,
             since_checkpoint: 0,
             checkpoint_every,
@@ -511,9 +389,8 @@ impl StoreWriter {
 
     /// Truncates a scanned shard to its valid prefix and reopens it for
     /// append, rewriting the header when even that was torn away. A
-    /// missing shard file (a store created by scoped writers whose
-    /// range never included it, or a crash between manifest and shard
-    /// creation) is created fresh.
+    /// missing shard file (a crash between manifest and shard creation)
+    /// is created fresh.
     fn reopen_truncated(
         path: &Path,
         magic: &[u8; 8],
@@ -540,8 +417,7 @@ impl StoreWriter {
     fn recover(
         dir: &Path,
         expected: StoreMeta,
-        range: Range<u32>,
-        leases: LeaseSet,
+        lease: LeaseSet,
         checkpoint_every: u64,
     ) -> Result<(StoreWriter, StoreState), StoreError> {
         let manifest_path = dir.join(MANIFEST_FILE);
@@ -574,16 +450,12 @@ impl StoreWriter {
             )));
         }
 
-        // Only this writer's own shard range is scanned and truncated:
-        // out-of-range shards may be live under concurrent writers, and
-        // touching them — even to repair a torn tail — would race their
-        // appends. Their jobs simply stay unmarked in this state.
-        let mut state = StoreState::empty(expected.total_jobs, expected.shards, range.clone());
+        let mut state = StoreState::empty(expected.total_jobs);
         // (job, scenes simulated) of every surviving outcome record —
         // what a complete persisted trace must cover.
         let mut scenes_of: Vec<(u64, u64)> = Vec::new();
-        let mut shards = Vec::with_capacity(range.len());
-        for index in range.clone() {
+        let mut shards = Vec::with_capacity(expected.shards as usize);
+        for index in 0..expected.shards {
             let path = shard_path(dir, index);
             let scan = scan_shard(&path, index)?;
             for record in &scan.records {
@@ -617,8 +489,8 @@ impl StoreWriter {
             // would silently train on a truncated trace. Demote such
             // jobs so the resume re-runs them.
             let mut scenes_seen: HashMap<u64, BTreeSet<u64>> = HashMap::new();
-            let mut reopened = Vec::with_capacity(range.len());
-            for index in range.clone() {
+            let mut reopened = Vec::with_capacity(expected.shards as usize);
+            for index in 0..expected.shards {
                 let path = trace_shard_path(dir, index);
                 let scan = scan_trace_shard(&path, index)?;
                 for record in &scan.records {
@@ -649,10 +521,9 @@ impl StoreWriter {
         let mut writer = StoreWriter {
             dir: dir.to_path_buf(),
             meta: StoreMeta { checkpoint_records: state.records, complete: false, ..expected },
-            range,
             shards,
             trace_shards,
-            leases,
+            lease,
             persisted: state.records,
             since_checkpoint: 0,
             checkpoint_every,
@@ -663,8 +534,6 @@ impl StoreWriter {
             &[
                 ("records", Field::Int(state.records as i64)),
                 ("total_jobs", Field::Int(expected.total_jobs as i64)),
-                ("shard_start", Field::Int(i64::from(writer.range.start))),
-                ("shard_end", Field::Int(i64::from(writer.range.end))),
                 ("torn", Field::Bool(state.torn)),
             ],
         );
@@ -672,25 +541,9 @@ impl StoreWriter {
         Ok((writer, state))
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Index into `self.shards` for `job`, asserting ownership.
-    fn own_shard(&self, job: u64) -> usize {
-        let shard = (job % u64::from(self.meta.shards)) as u32;
-        assert!(
-            self.range.contains(&shard),
-            "job {job} fans out to shard {shard}, outside this writer's range {:?}",
-            self.range
-        );
-        (shard - self.range.start) as usize
-    }
-
-    /// Distinct records persisted so far (surviving + newly appended).
-    pub fn records_persisted(&self) -> u64 {
-        self.persisted
+    /// Index into `self.shards` for `job`: its shard, `job % shards`.
+    fn shard_of(&self, job: u64) -> usize {
+        (job % u64::from(self.meta.shards)) as usize
     }
 
     /// Appends one record to its shard (`job % shards`), checkpointing
@@ -702,9 +555,8 @@ impl StoreWriter {
     ///
     /// # Panics
     ///
-    /// Panics when `record.job` is outside the campaign's job range or
-    /// fans out to a shard outside this writer's shard range — both
-    /// caller bugs, not recoverable conditions.
+    /// Panics when `record.job` is outside the campaign's job range — a
+    /// caller bug, not a recoverable condition.
     pub fn append(&mut self, record: &CampaignRecord) -> Result<(), StoreError> {
         assert!(
             record.job < self.meta.total_jobs,
@@ -712,7 +564,7 @@ impl StoreWriter {
             record.job,
             self.meta.total_jobs
         );
-        let shard = self.own_shard(record.job);
+        let shard = self.shard_of(record.job);
         append_frame(&mut self.shards[shard], record)?;
         self.persisted += 1;
         self.since_checkpoint += 1;
@@ -748,7 +600,7 @@ impl StoreWriter {
             record.job,
             self.meta.total_jobs
         );
-        let shard = self.own_shard(record.job);
+        let shard = self.shard_of(record.job);
         let shards = self.trace_shards.as_mut().expect("store opened with trace logs");
         let mut payload = Vec::with_capacity(record.encoded_len());
         record.encode(&mut payload);
@@ -765,79 +617,41 @@ impl StoreWriter {
         // Trace shards flush before outcome shards: a crash between the
         // two leaves traces without their outcome record (the job just
         // reruns), never a record claiming a trace that isn't there.
-        let start = self.range.start;
         if let Some(trace_shards) = &mut self.trace_shards {
-            for (offset, shard) in trace_shards.iter_mut().enumerate() {
-                let path = trace_shard_path(&self.dir, start + offset as u32);
+            for (index, shard) in trace_shards.iter_mut().enumerate() {
+                let path = trace_shard_path(&self.dir, index as u32);
                 shard.flush().map_err(|e| io_err("flushing", &path, e))?;
                 shard.get_ref().sync_all().map_err(|e| io_err("syncing", &path, e))?;
             }
         }
-        for (offset, shard) in self.shards.iter_mut().enumerate() {
-            let path = shard_path(&self.dir, start + offset as u32);
+        for (index, shard) in self.shards.iter_mut().enumerate() {
+            let path = shard_path(&self.dir, index as u32);
             shard.flush().map_err(|e| io_err("flushing", &path, e))?;
             shard.get_ref().sync_all().map_err(|e| io_err("syncing", &path, e))?;
         }
         self.meta.checkpoint_records = self.persisted;
         write_manifest(&self.dir, &self.meta)?;
         // The checkpoint doubles as the lease heartbeat: a writer that
-        // keeps persisting keeps its shards.
-        self.leases.heartbeat()?;
+        // keeps persisting keeps its store.
+        self.lease.heartbeat()?;
         self.since_checkpoint = 0;
         self.events.emit("checkpoint", &[("records", Field::Int(self.persisted as i64))]);
         Ok(())
     }
 
-    /// Final checkpoint; releases this writer's shard leases, and marks
-    /// the store `complete` when every job's record is persisted. A
-    /// **scoped** writer (partial shard range) never marks completion —
-    /// its `persisted` only counts its own range, and sealing a
-    /// multi-writer store is the coordinator's move ([`seal_store`]).
-    /// Returns the final manifest.
+    /// Final checkpoint; marks the store `complete` exactly when every
+    /// job's record is persisted, and releases the store lease. Returns
+    /// the final manifest.
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] on I/O failure.
     pub fn finish(mut self) -> Result<StoreMeta, StoreError> {
-        let full_range = self.range == (0..self.meta.shards);
-        self.meta.complete = full_range && self.persisted >= self.meta.total_jobs;
+        self.meta.complete = self.persisted >= self.meta.total_jobs;
         self.checkpoint()?;
-        self.leases.release()?;
+        self.lease.release()?;
         Ok(self.meta)
     }
-}
-
-/// Marks a multi-writer store complete: verifies that **every** job's
-/// record is persisted across all shards (scoped writers cannot — each
-/// only sees its own range) and rewrites the manifest with
-/// `complete = true`. Acquires every shard lease for the duration, so a
-/// store cannot be sealed under a live writer.
-///
-/// # Errors
-///
-/// Returns a [`StoreError`] when any shard is leased by a live writer,
-/// when records are missing (the campaign is not actually finished), or
-/// on I/O failure.
-pub fn seal_store(dir: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
-    let dir = dir.as_ref();
-    let meta = read_manifest(dir)?;
-    let mut leases =
-        LeaseSet::acquire(dir, 0..meta.shards, &default_owner(), DEFAULT_LEASE_TIMEOUT)?;
-    let (_, records) = read_store(dir)?;
-    if (records.len() as u64) < meta.total_jobs {
-        leases.release()?;
-        return Err(StoreError::new(format!(
-            "{}: only {} of {} jobs persisted — refusing to seal an incomplete store",
-            dir.display(),
-            records.len(),
-            meta.total_jobs
-        )));
-    }
-    let sealed = StoreMeta { checkpoint_records: records.len() as u64, complete: true, ..meta };
-    write_manifest(dir, &sealed)?;
-    leases.release()?;
-    drivefi_obs::emit_event(dir, "seal", &[("records", Field::Int(records.len() as i64))]);
-    Ok(sealed)
 }
 
 /// Reads a whole store directory: the manifest plus every shard's
@@ -863,8 +677,7 @@ pub fn read_store(dir: impl AsRef<Path>) -> Result<(StoreMeta, Vec<CampaignRecor
 }
 
 /// Per-shard completion picture of a store, for diagnostics: how many
-/// distinct jobs each shard holds versus how many it should, and the
-/// state of the shard's lease lock.
+/// distinct jobs each shard holds versus how many it should.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardProgress {
     /// Shard index.
@@ -873,8 +686,6 @@ pub struct ShardProgress {
     pub records: u64,
     /// Jobs the shard holds when the campaign is complete.
     pub expected: u64,
-    /// The shard's lease lock state at probe time.
-    pub lease: crate::lease::LeaseState,
 }
 
 impl ShardProgress {
@@ -884,10 +695,10 @@ impl ShardProgress {
     }
 }
 
-/// Surveys every shard of the store at `dir`: distinct persisted jobs,
-/// expected jobs, and lease state. Read-only — no leases are claimed,
-/// no torn tails truncated — so it is safe to run against a store with
-/// live writers (counts are then a snapshot, not a barrier).
+/// Surveys every shard of the store at `dir`: distinct persisted jobs
+/// and expected jobs. Read-only — no lease is claimed, no torn tail
+/// truncated — so it is safe to run against a store with a live writer
+/// (counts are then a snapshot, not a barrier).
 ///
 /// # Errors
 ///
@@ -906,12 +717,7 @@ pub fn shard_progress(dir: impl AsRef<Path>) -> Result<Vec<ShardProgress>, Store
         // ceil((total - i) / shards) jobs.
         let expected = (meta.total_jobs + u64::from(meta.shards) - 1 - u64::from(index))
             / u64::from(meta.shards);
-        progress.push(ShardProgress {
-            shard: index,
-            records: jobs.len() as u64,
-            expected,
-            lease: crate::lease::probe_lease(dir, index, DEFAULT_LEASE_TIMEOUT),
-        });
+        progress.push(ShardProgress { shard: index, records: jobs.len() as u64, expected });
     }
     Ok(progress)
 }
@@ -930,12 +736,27 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
 
 fn write_manifest(dir: &Path, meta: &StoreMeta) -> Result<(), StoreError> {
     let path = dir.join(MANIFEST_FILE);
-    // Per-pid temp name: concurrent scoped writers checkpoint the same
-    // manifest, and a shared temp file would tear under simultaneous
-    // writes. The final rename is atomic either way.
-    let tmp = dir.join(format!("{MANIFEST_FILE}.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, meta.emit()).map_err(|e| io_err("writing", &tmp, e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| io_err("renaming", &tmp, e))
+    replace_file(&path, meta.emit().as_bytes()).map_err(|e| io_err("writing", &path, e))
+}
+
+/// Atomically replaces the file at `path` with `bytes`: writes a
+/// dot-prefixed, per-pid temp file beside it, then renames that over
+/// `path`. Readers see the old content or the new, never a torn mix,
+/// and directory scans that skip dotfiles never see the temp file.
+/// Nothing is fsynced, so this survives a process crash but not
+/// necessarily an OS crash.
+///
+/// # Errors
+///
+/// Returns the I/O error of the write or the rename.
+pub fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+    })?;
+    let tmp =
+        path.with_file_name(format!(".{}.tmp.{}", name.to_string_lossy(), std::process::id()));
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Reads the golden traces persisted in a trace-logging store: trace
@@ -1008,24 +829,25 @@ pub fn read_traces(
 /// is rewritten to a temporary file, synced, and atomically renamed
 /// into place; the manifest's checkpoint counter is refreshed last.
 ///
-/// Compaction claims every shard lease for its duration: a store with a
+/// Compaction claims the store lease for its duration: a store with a
 /// **live** writer (fresh lease — held pid alive, heartbeat current)
-/// refuses to compact rather than silently racing its appends, while
-/// leases left behind by dead or timed-out writers are reclaimed and
-/// the compaction proceeds.
+/// refuses to compact rather than silently racing its appends, while a
+/// lease left behind by a dead or timed-out writer is reclaimed and the
+/// compaction proceeds.
 ///
 /// # Errors
 ///
-/// Returns a [`StoreError`] when a shard is leased by a live writer, on
-/// I/O failure, or on an unreadable store.
+/// Returns a [`StoreError`] when the store is leased by a live writer,
+/// on I/O failure, or on an unreadable store.
 pub fn compact_store(dir: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
     let dir = dir.as_ref();
-    let meta = read_manifest(dir)?;
+    // Not a store → fail here, before a lease file lands in the directory.
+    read_manifest(dir)?;
     let owner = format!("compact-{}", default_owner());
-    let mut leases = LeaseSet::acquire(dir, 0..meta.shards, &owner, DEFAULT_LEASE_TIMEOUT)
+    let mut lease = LeaseSet::acquire(dir, &owner, DEFAULT_LEASE_TIMEOUT)
         .map_err(|e| StoreError::new(format!("refusing to compact under a live writer: {e}")))?;
     let result = compact_locked(dir);
-    leases.release()?;
+    lease.release()?;
     if let Ok(compacted) = &result {
         drivefi_obs::emit_event(
             dir,
@@ -1493,70 +1315,26 @@ mod tests {
     }
 
     #[test]
-    fn scoped_writers_merge_to_the_single_writer_result() {
-        // Serial reference: one writer, every job.
-        let reference = temp_dir("scoped-ref");
-        let (mut writer, _) = open_store(&reference, 77, 20, 4, 3).unwrap();
-        for job in 0..20u64 {
-            writer.append(&record(job)).unwrap();
-        }
-        assert!(writer.finish().unwrap().complete);
-
-        // Two scoped writers over disjoint shard ranges, interleaved.
-        let dir = temp_dir("scoped");
-        let opts = |range: Range<u32>, owner: &str| {
-            StoreOptions::new(77, 20, 4, 3).shard_range(range).owner(owner)
-        };
-        let (mut a, sa) = open_store_opts(&dir, &opts(0..2, "a")).unwrap();
-        let (mut b, sb) = open_store_opts(&dir, &opts(2..4, "b")).unwrap();
-        for job in 0..20u64 {
-            if sa.owns(job) {
-                assert!(!sb.owns(job), "ownership must partition the jobs");
-                a.append(&record(job)).unwrap();
-            } else {
-                assert!(sb.owns(job));
-                b.append(&record(job)).unwrap();
-            }
-        }
-        assert!(!a.finish().unwrap().complete, "a scoped writer never seals");
-        assert!(!b.finish().unwrap().complete);
-        // All jobs persisted → the coordinator seals.
-        assert!(seal_store(&dir).unwrap().complete);
-
-        let (ref_meta, ref_records) = read_store(&reference).unwrap();
-        let (meta, records) = read_store(&dir).unwrap();
-        assert_eq!(meta, ref_meta);
-        assert_eq!(records, ref_records, "merged read equals the single-writer result");
-        // After compaction the two stores are byte-identical shard for
-        // shard (same records, same pure-job order).
-        compact_store(&reference).unwrap();
-        compact_store(&dir).unwrap();
-        for index in 0..4 {
-            assert_eq!(
-                std::fs::read(shard_path(&reference, index)).unwrap(),
-                std::fs::read(shard_path(&dir, index)).unwrap(),
-                "shard {index} bytes diverge after compaction"
-            );
-        }
-        std::fs::remove_dir_all(&reference).ok();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn live_writer_blocks_compaction_sealing_and_overlapping_opens() {
         let dir = temp_dir("livelock");
         let (mut writer, _) = open_store(&dir, 3, 8, 2, 4).unwrap();
         writer.append(&record(0)).unwrap();
         writer.checkpoint().unwrap();
-        // A live full-range writer blocks everything that would race it.
+        // A live writer blocks everything that would race it.
         let err = compact_store(&dir).expect_err("compacting under a live writer");
         assert!(err.to_string().contains("refusing to compact"), "got: {err}");
-        let err = seal_store(&dir).expect_err("sealing under a live writer");
+        let err = open_store(&dir, 3, 8, 2, 4).expect_err("second writer on the same store");
         assert!(err.to_string().contains("leased"), "got: {err}");
-        let err = open_store(&dir, 3, 8, 2, 4).expect_err("second writer over the same range");
-        assert!(err.to_string().contains("leased"), "got: {err}");
-        // Finishing releases the leases; compaction proceeds.
+        // One lock file guards the whole store, whatever its shard count.
+        let locks: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".lock"))
+            .collect();
+        assert_eq!(locks, ["lease.lock"]);
+        // Finishing releases the lease; compaction proceeds.
         writer.finish().unwrap();
+        assert!(!crate::lease::lease_path(&dir).exists());
         compact_store(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1572,67 +1350,42 @@ mod tests {
         // A kill -9'd writer left its lock behind: the pid is dead, so
         // compaction reclaims the lease instead of failing.
         std::fs::write(
-            crate::lease::lease_path(&dir, 1),
+            crate::lease::lease_path(&dir),
             "owner = crashed-writer\npid = 4294967295\n",
         )
         .unwrap();
         compact_store(&dir).unwrap();
-        assert!(!crate::lease::lease_path(&dir, 1).exists(), "stale lease reclaimed");
+        assert!(!crate::lease::lease_path(&dir).exists(), "stale lease reclaimed");
         let (_, records) = read_store(&dir).unwrap();
         assert_eq!(records.len(), 6);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn seal_refuses_an_incomplete_store() {
-        let dir = temp_dir("seal-incomplete");
-        let opts = StoreOptions::new(9, 10, 2, 4).shard_range(0..1).owner("half");
-        let (mut writer, state) = open_store_opts(&dir, &opts).unwrap();
-        for job in (0..10u64).filter(|&job| state.owns(job)) {
+    fn writer_stopped_before_finish_is_completed_by_the_next_open() {
+        // Every job appended, then the writer dropped without `finish`:
+        // all shards are full but the manifest still says incomplete.
+        let reference = temp_dir("unfinished-ref");
+        let (mut writer, _) = open_store(&reference, 11, 14, 3, 4).unwrap();
+        for job in 0..14u64 {
             writer.append(&record(job)).unwrap();
         }
-        writer.finish().unwrap();
-        let err = seal_store(&dir).expect_err("only half the jobs persisted");
-        assert!(err.to_string().contains("refusing to seal"), "got: {err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        assert!(writer.finish().unwrap().complete);
 
-    #[test]
-    fn scoped_recovery_only_touches_its_own_range() {
-        let dir = temp_dir("scoped-recover");
-        let opts =
-            |range: Range<u32>| StoreOptions::new(5, 12, 2, 100).shard_range(range).owner("scoped");
-        let (mut a, sa) = open_store_opts(&dir, &opts(0..1)).unwrap();
-        let (mut b, sb) = open_store_opts(&dir, &opts(1..2)).unwrap();
-        for job in 0..12u64 {
-            if sa.owns(job) { &mut a } else { &mut b }.append(&record(job)).unwrap();
+        let dir = temp_dir("unfinished");
+        let (mut writer, _) = open_store(&dir, 11, 14, 3, 4).unwrap();
+        for job in (0..14u64).rev() {
+            writer.append(&record(job)).unwrap();
         }
-        a.finish().unwrap();
-        b.finish().unwrap();
+        drop(writer);
+        assert!(!read_manifest(&dir).unwrap().complete);
 
-        // Tear shard 1's tail. A writer scoped to shard 0 must neither
-        // see the tear nor repair it — shard 1 may be live under its
-        // own writer.
-        let torn_path = shard_path(&dir, 1);
-        let torn_len = std::fs::metadata(&torn_path).unwrap().len();
-        OpenOptions::new().write(true).open(&torn_path).unwrap().set_len(torn_len - 3).unwrap();
-
-        let (a, state) = open_store_opts(&dir, &opts(0..1)).unwrap();
-        assert!(!state.torn, "the tear is outside this writer's range");
-        assert_eq!(state.records(), 6);
-        assert_eq!(std::fs::metadata(&torn_path).unwrap().len(), torn_len - 3, "untouched");
-        assert!((0..12u64).all(|job| state.owns(job) == sa.owns(job)));
-        drop(a);
-
-        // The shard-1 writer recovers its own tear: one record lost.
-        let (mut b, state) = open_store_opts(&dir, &opts(1..2)).unwrap();
-        assert!(state.torn);
-        assert_eq!(state.records(), 5);
-        let lost = (0..12u64).find(|&job| sb.owns(job) && !state.is_done(job)).unwrap();
-        b.append(&record(lost)).unwrap();
-        b.finish().unwrap();
-        let (_, records) = read_store(&dir).unwrap();
-        assert_eq!(records.len(), 12);
+        let (writer, state) = open_store(&dir, 11, 14, 3, 4).unwrap();
+        assert_eq!(state.records(), 14);
+        assert!((0..14u64).all(|job| state.is_done(job)), "nothing is pending");
+        assert!(writer.finish().unwrap().complete);
+        assert_eq!(read_store(&dir).unwrap(), read_store(&reference).unwrap());
+        std::fs::remove_dir_all(&reference).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 

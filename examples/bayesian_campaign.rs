@@ -10,9 +10,10 @@
 //! ```
 
 use drivefi::core::{
-    collect_golden_traces, random_output_campaign, validate_candidates, AccelerationReport,
+    collect_golden_traces, random_space_campaign, validate_candidates, AccelerationReport,
     BayesianMiner, MinerConfig, RandomCampaignConfig,
 };
+use drivefi::fault::FaultSpace;
 use drivefi::sim::SimConfig;
 use drivefi::world::ScenarioSuite;
 use std::time::Instant;
@@ -44,7 +45,7 @@ fn main() {
 
     // 3. Random baseline at the same injection budget.
     let random_cfg = RandomCampaignConfig { runs: critical.len().max(100), seed: 7, workers };
-    let random = random_output_campaign(&sim, &suite, &random_cfg);
+    let random = random_space_campaign(&sim, &suite, &FaultSpace::default(), &random_cfg);
     println!(
         "random baseline: {} runs -> {} hazards, {} collisions (rate {:.2}%)",
         random.runs,

@@ -30,10 +30,11 @@
 //!   without running any jobs. An interrupted store needs `--partial` —
 //!   a partial report is otherwise indistinguishable from a finished
 //!   run's at a glance; the refusal surveys the shards and says *which*
-//!   of them (and whose leases) are incomplete. `--format md|html`
-//!   additionally renders `report.md`/`report.html` with per-fault and
-//!   per-family breakdowns plus whatever `DRIVEFI_OBS` lifecycle events
-//!   and `DRIVEFI_PROFILE` tick timings the run left behind.
+//!   of them are incomplete and who, if anyone, holds the store lease.
+//!   `--format md|html` additionally renders `report.md`/`report.html`
+//!   with per-fault and per-family breakdowns plus whatever
+//!   `DRIVEFI_OBS` lifecycle events and `DRIVEFI_PROFILE` tick timings
+//!   the run left behind.
 //! * `diff` compares two stores cell-by-cell (scenario × fault): exit 0
 //!   when the candidate holds no new or worsened hazards, exit 3 when
 //!   it regressed — the CI safety gate. `--plan` maps scenario ids to
@@ -70,7 +71,10 @@ use drivefi::plan::{
     SWEEP_SUBDIR, VALIDATE_SUBDIR,
 };
 use drivefi::serve::{serve, submit_plan, CampaignStatus, ServeConfig, CAMPAIGNS_DIR, SPOOL_DIR};
-use drivefi::store::{compact_store, read_store, shard_progress, LeaseState, MANIFEST_FILE};
+use drivefi::store::{
+    compact_store, probe_lease, read_store, shard_progress, LeaseState, DEFAULT_LEASE_TIMEOUT,
+    MANIFEST_FILE,
+};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -569,10 +573,10 @@ fn render_context(plan: &CampaignPlan, report_dir: &Path) -> RenderContext {
 }
 
 /// The `report` refusal for an interrupted store: survey the shards so
-/// the message says *which* of them are short and whether a writer
-/// still holds (or abandoned) them — an actively-running campaign, a
-/// crashed one, and a scoped serve writer that finished its range but
-/// never sealed all read differently.
+/// the message says *which* of them are short, then probe the store
+/// lease so it says whether a writer still holds (or abandoned) the
+/// store — an actively-running campaign, a crashed one, and an
+/// interrupted one all read differently.
 fn incomplete_store_message(dir: &Path, report: &PlanReport) -> String {
     use std::fmt::Write;
     let mut message = format!(
@@ -583,30 +587,29 @@ fn incomplete_store_message(dir: &Path, report: &PlanReport) -> String {
         report.total_jobs
     );
     let Ok(progress) = shard_progress(dir) else { return message };
-    let all_shards_full = progress.iter().all(|shard| shard.complete());
     message.push_str("\n  incomplete shards:");
-    if all_shards_full {
+    if progress.iter().all(|shard| shard.complete()) {
         // Every shard has all its records but the manifest never went
-        // complete: a scoped writer (serve slice / --max-jobs range)
-        // finished its range without sealing the store.
+        // complete: the writer stopped between its last append and
+        // `finish`.
         message.push_str(
-            "\n    none — every shard is fully persisted, but no writer sealed the store \
-             (a scoped writer finished its range); `drivefi resume` will seal it",
+            "\n    none — every shard is fully persisted, but the writer stopped before \
+             finishing the store; `drivefi resume` will complete it",
         );
-        return message;
     }
     for shard in progress.iter().filter(|shard| !shard.complete()) {
-        let lease = match &shard.lease {
-            LeaseState::Unheld => "no writer holds it — interrupted".to_string(),
-            LeaseState::Live { holder } => format!("held live by {holder} — still running"),
-            LeaseState::Stale { holder } => format!("stale lease from {holder} — crashed"),
-        };
         let _ = write!(
             message,
-            "\n    shard {:03}: {} of {} records; {lease}",
+            "\n    shard {:03}: {} of {} records",
             shard.shard, shard.records, shard.expected
         );
     }
+    let lease = match probe_lease(dir, DEFAULT_LEASE_TIMEOUT) {
+        LeaseState::Unheld => "no writer holds it — interrupted".to_string(),
+        LeaseState::Live { holder } => format!("held live by {holder} — still running"),
+        LeaseState::Stale { holder } => format!("stale lease from {holder} — crashed"),
+    };
+    let _ = write!(message, "\n  store lease: {lease}");
     message
 }
 

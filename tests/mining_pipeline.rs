@@ -2,9 +2,10 @@
 //! reduced scale).
 
 use drivefi::core::{
-    collect_golden_traces, random_output_campaign, validate_candidates, BayesianMiner, MinerConfig,
+    collect_golden_traces, random_space_campaign, validate_candidates, BayesianMiner, MinerConfig,
     RandomCampaignConfig, SituationLibrary,
 };
+use drivefi::fault::FaultSpace;
 use drivefi::sim::SimConfig;
 use drivefi::world::ScenarioSuite;
 
@@ -52,7 +53,7 @@ fn bayesian_mining_beats_random_at_equal_budget() {
 
     // Random baseline with the same number of injection runs.
     let random_cfg = RandomCampaignConfig { runs: critical.len().max(50), seed: 7, workers: 8 };
-    let random = random_output_campaign(&sim, &suite, &random_cfg);
+    let random = random_space_campaign(&sim, &suite, &FaultSpace::default(), &random_cfg);
 
     assert!(
         stats.precision() > random.hazard_rate(),
