@@ -3,13 +3,14 @@
 //! The profiler attributes wall-clock time to the pipeline stages of a
 //! simulation tick (sensing, localization, perception, planning,
 //! control, vehicle dynamics, world sweep, scene evaluation). It is
-//! **off by default** and costs a single cached branch per probe when
-//! disabled, so the instrumentation can live permanently in the hot
-//! loop. Enable it with the environment variable `DRIVEFI_PROFILE=1`
-//! (or programmatically with [`enable`]) and read the accumulated
-//! numbers with [`report`]; [`emit_json`] appends one JSONL line per
-//! stage to the file named by `DRIVEFI_BENCH_JSON`, the same channel
-//! the bench harness uses.
+//! **off by default** and costs one relaxed atomic load and a cached
+//! branch per probe when disabled, so the instrumentation can live
+//! permanently in the hot loop. It is on exactly when observability is
+//! ([`drivefi_obs::enabled`]: `DRIVEFI_OBS=1`, or
+//! [`drivefi_obs::force_enabled`] in benches and tests). Read the
+//! accumulated numbers with [`report`]; [`emit_json`] appends one JSONL
+//! line per stage to the file named by `DRIVEFI_BENCH_JSON`, the same
+//! channel the bench harness uses.
 //!
 //! Counters are global atomics: campaign worker threads all accumulate
 //! into the same table, so a whole campaign profiles with zero plumbing.
@@ -18,7 +19,6 @@
 //! does the tick time go".
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One profiled phase of a simulation tick.
@@ -79,20 +79,12 @@ const PHASES: usize = TickPhase::ALL.len();
 
 static TOTAL_NS: [AtomicU64; PHASES] = [const { AtomicU64::new(0) }; PHASES];
 static SAMPLES: [AtomicU64; PHASES] = [const { AtomicU64::new(0) }; PHASES];
-static ENABLED: OnceLock<bool> = OnceLock::new();
 
-/// Whether profiling is active. Resolved once, from `DRIVEFI_PROFILE`
-/// (any value other than `0` enables) unless [`enable`] ran first.
+/// Whether profiling is active: exactly when observability is
+/// ([`drivefi_obs::enabled`]).
 #[inline]
 pub fn enabled() -> bool {
-    *ENABLED.get_or_init(|| std::env::var_os("DRIVEFI_PROFILE").is_some_and(|v| v != "0"))
-}
-
-/// Forces profiling on for this process, regardless of the environment.
-/// Must run before the first probe resolves [`enabled`] (benches call it
-/// first thing); afterwards it has no effect.
-pub fn enable() {
-    let _ = ENABLED.set(true);
+    drivefi_obs::enabled()
 }
 
 /// Starts timing a phase. Returns `None` (one cached branch, no clock

@@ -26,9 +26,9 @@ fn scenarios() -> Vec<ScenarioConfig> {
 }
 
 fn bench_ads_tick(c: &mut Criterion) {
-    // Force the stage profiler on before the first probe resolves the
-    // env flag: this bench exists to attribute tick time.
-    profiler::enable();
+    // This bench exists to attribute tick time: switch the stage
+    // profiler on whatever the environment says.
+    drivefi_obs::force_enabled(true);
 
     let mut group = c.benchmark_group("ads_tick");
     group.sample_size(10);

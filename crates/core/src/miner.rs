@@ -413,19 +413,20 @@ impl BayesianMiner {
             })
     }
 
-    /// Mines the critical set `F_crit` over golden traces (Eq. 1):
-    /// candidates whose counterfactual δ̂ falls at or below the
-    /// threshold. Results are sorted by ascending δ̂ (most critical
-    /// first).
+    /// The one candidate-forecast pass behind [`BayesianMiner::mine`] and
+    /// [`BayesianMiner::predict_deltas`]: visits every candidate over the
+    /// traces in [`crate::exhaustive::candidate_specs`] order with its
+    /// counterfactual δ̂ and whether it is a true no-op.
     ///
-    /// Counterfactual queries are memoized on the discretized evidence,
-    /// which collapses the (highly repetitive) scene corpus to a few
-    /// thousand distinct inferences — this is what makes Bayesian FI fast
-    /// enough to beat exhaustive injection by orders of magnitude.
-    pub fn mine(&self, traces: &[Trace]) -> Vec<CandidateFault> {
+    /// A no-op is an injection that cannot change the run: for
+    /// exact-override channels the injected value equals the recorded
+    /// one, for the rest the bin is unchanged. A no-op's δ̂ is its golden
+    /// δ, and it is never forecast. Counterfactual queries are memoized on
+    /// the discretized evidence, which collapses the (highly repetitive)
+    /// scene corpus to a few thousand distinct inferences.
+    fn forecast_each(&self, traces: &[Trace], mut visit: impl FnMut(CandidateFault, bool)) {
         let mut cache: HashMap<(SceneObs, SceneObs, usize, usize), ResponseForecast> =
             HashMap::new();
-        let mut out = Vec::new();
         for trace in traces {
             for (k, signal, var, model) in self.candidates(trace) {
                 let value = match model {
@@ -436,43 +437,57 @@ impl BayesianMiner {
                         continue;
                     }
                 };
+                let golden_delta =
+                    trace.frames[k].delta_true.longitudinal.min(trace.frames[k].delta_true.lateral);
                 let category = self.model.category_of(var, value);
                 let obs0 = self.model.observe(&trace.frames[k - 1]);
                 let obs1 = self.model.observe(&trace.frames[k]);
-                // Skip true no-ops. For exact-override channels that
-                // means the injected value equals the recorded one; for
-                // the rest, bin identity (the forecast cannot change).
-                if Self::overrides_exact(signal) {
-                    if let Some(r) = recorded_value(&trace.frames[k], signal) {
-                        if (r - value).abs() < 1e-9 {
-                            continue;
-                        }
-                    }
-                } else if self.model.obs_category(var, &obs1) == category {
-                    continue;
-                }
-                let mut response =
-                    *cache.entry((obs0, obs1, var.index(), category)).or_insert_with(|| {
-                        self.forecast(&obs0, &obs1, var, category)
-                            .expect("inference on fitted model")
-                    });
-                Self::apply_exact_value(signal, value, &mut response);
-                let delta_hat = self.delta_hat_from_forecast(&trace.frames[k], &response);
-                if delta_hat <= self.config.delta_threshold {
-                    out.push(CandidateFault {
-                        scenario_id: trace.scenario_id,
-                        scene: trace.frames[k].scene,
-                        signal,
-                        model,
-                        golden_delta: trace.frames[k]
-                            .delta_true
-                            .longitudinal
-                            .min(trace.frames[k].delta_true.lateral),
-                        predicted_delta: delta_hat,
-                    });
-                }
+                let noop = if Self::overrides_exact(signal) {
+                    recorded_value(&trace.frames[k], signal)
+                        .is_some_and(|r| (r - value).abs() < 1e-9)
+                } else {
+                    self.model.obs_category(var, &obs1) == category
+                };
+                let predicted_delta = if noop {
+                    golden_delta
+                } else {
+                    let mut response =
+                        *cache.entry((obs0, obs1, var.index(), category)).or_insert_with(|| {
+                            self.forecast(&obs0, &obs1, var, category)
+                                .expect("inference on fitted model")
+                        });
+                    Self::apply_exact_value(signal, value, &mut response);
+                    self.delta_hat_from_forecast(&trace.frames[k], &response)
+                };
+                let candidate = CandidateFault {
+                    scenario_id: trace.scenario_id,
+                    scene: trace.frames[k].scene,
+                    signal,
+                    model,
+                    golden_delta,
+                    predicted_delta,
+                };
+                visit(candidate, noop);
             }
         }
+    }
+
+    /// Mines the critical set `F_crit` over golden traces (Eq. 1):
+    /// candidates, no-ops aside, whose counterfactual δ̂ falls at or below
+    /// the threshold. Results are sorted by ascending δ̂ (most critical
+    /// first).
+    ///
+    /// Counterfactual queries are memoized on the discretized evidence,
+    /// which collapses the (highly repetitive) scene corpus to a few
+    /// thousand distinct inferences — this is what makes Bayesian FI fast
+    /// enough to beat exhaustive injection by orders of magnitude.
+    pub fn mine(&self, traces: &[Trace]) -> Vec<CandidateFault> {
+        let mut out = Vec::new();
+        self.forecast_each(traces, |candidate, noop| {
+            if !noop && candidate.predicted_delta <= self.config.delta_threshold {
+                out.push(candidate);
+            }
+        });
         out.sort_by(|a, b| {
             a.predicted_delta.partial_cmp(&b.predicted_delta).expect("finite deltas")
         });
@@ -492,54 +507,8 @@ impl BayesianMiner {
     /// keep their golden δ: injecting them would leave the run — and so
     /// its safety margin — unchanged.
     pub fn predict_deltas(&self, traces: &[Trace]) -> Vec<CandidateFault> {
-        let mut cache: HashMap<(SceneObs, SceneObs, usize, usize), ResponseForecast> =
-            HashMap::new();
         let mut out = Vec::new();
-        for trace in traces {
-            for (k, signal, var, model) in self.candidates(trace) {
-                let value = match model {
-                    ScalarFaultModel::StuckMin => signal.range().min,
-                    ScalarFaultModel::StuckMax => signal.range().max,
-                    other => {
-                        debug_assert!(false, "unexpected mining model {other:?}");
-                        continue;
-                    }
-                };
-                let golden_delta =
-                    trace.frames[k].delta_true.longitudinal.min(trace.frames[k].delta_true.lateral);
-                let category = self.model.category_of(var, value);
-                let obs0 = self.model.observe(&trace.frames[k - 1]);
-                let obs1 = self.model.observe(&trace.frames[k]);
-                // Same no-op test as mine(): exact-override channels
-                // compare injected to recorded values, the rest compare
-                // bins. A no-op's forecast is the golden margin itself.
-                let noop = if Self::overrides_exact(signal) {
-                    recorded_value(&trace.frames[k], signal)
-                        .is_some_and(|r| (r - value).abs() < 1e-9)
-                } else {
-                    self.model.obs_category(var, &obs1) == category
-                };
-                let predicted_delta = if noop {
-                    golden_delta
-                } else {
-                    let mut response =
-                        *cache.entry((obs0, obs1, var.index(), category)).or_insert_with(|| {
-                            self.forecast(&obs0, &obs1, var, category)
-                                .expect("inference on fitted model")
-                        });
-                    Self::apply_exact_value(signal, value, &mut response);
-                    self.delta_hat_from_forecast(&trace.frames[k], &response)
-                };
-                out.push(CandidateFault {
-                    scenario_id: trace.scenario_id,
-                    scene: trace.frames[k].scene,
-                    signal,
-                    model,
-                    golden_delta,
-                    predicted_delta,
-                });
-            }
-        }
+        self.forecast_each(traces, |candidate, _| out.push(candidate));
         out
     }
 

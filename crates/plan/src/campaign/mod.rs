@@ -46,9 +46,13 @@
 //!   `exhaustive` drivers expressed on it;
 //! * `adaptive` — the posterior-guided acquisition loop
 //!   (`kind = "adaptive"`): fit on results so far, score unexplored
-//!   candidates, run the top-K batch into a per-round sub-store, refit.
+//!   candidates, run the top-K batch into a per-round sub-store, refit;
+//! * `layout` — the read side of the store layout: [`stage_dirs`] lists
+//!   a plan's stage stores and [`read_campaign`] rebuilds its report
+//!   from the final ones.
 
 mod adaptive;
+mod layout;
 mod pipeline;
 mod schema;
 #[cfg(test)]
@@ -58,6 +62,7 @@ pub use adaptive::{
     round_dirs, round_subdir, AdaptiveProgress, AdaptiveSection, RoundSummary, ROUNDS_FILE,
     ROUND_PREFIX,
 };
+pub use layout::{read_campaign, stage_dirs, CampaignRead};
 pub use schema::{campaign_plan_to_toml, emit_campaign_plan, parse_campaign_plan};
 
 use crate::report::PlanReport;
@@ -132,21 +137,6 @@ impl CampaignKind {
             CampaignKind::Golden => "golden",
             CampaignKind::Mine { .. } => "mine",
             CampaignKind::Adaptive { .. } => "adaptive",
-        }
-    }
-
-    /// For store-backed pipeline kinds, the sub-store (relative to the
-    /// `[output]` dir) whose records the final report aggregates —
-    /// `None` for single-stage kinds, whose store *is* the output dir,
-    /// and for adaptive campaigns, whose final report aggregates every
-    /// `round-*/` sub-store rather than a single one.
-    pub fn store_subdir(&self) -> Option<&'static str> {
-        match self {
-            CampaignKind::Mine { .. } => Some(VALIDATE_SUBDIR),
-            CampaignKind::Exhaustive { .. } => Some(SWEEP_SUBDIR),
-            CampaignKind::Random { .. } | CampaignKind::Golden | CampaignKind::Adaptive { .. } => {
-                None
-            }
         }
     }
 

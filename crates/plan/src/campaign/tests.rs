@@ -1,6 +1,8 @@
 use super::*;
 use drivefi_ads::Signal;
 use drivefi_fault::{CorruptionGrid, ScalarFaultModel};
+use drivefi_store::MANIFEST_FILE;
+use std::path::{Path, PathBuf};
 
 fn tiny_random_plan() -> CampaignPlan {
     CampaignPlan {
@@ -166,7 +168,8 @@ fn adaptive_plans_round_trip_and_enforce_their_schema() {
     assert!(text.contains("[adaptive]"), "non-default [adaptive] must emit:\n{text}");
     assert!(!text.contains("sink"), "adaptive plans carry no sink:\n{text}");
     assert_eq!(parse_campaign_plan(&text).unwrap(), plan);
-    assert_eq!(plan.kind.store_subdir(), None, "rounds aggregate, no single sub-store");
+    // No round has run, so golden is the only stage store.
+    assert_eq!(stage_dirs(&plan), vec![Path::new("out/adaptive").join(GOLDEN_SUBDIR)]);
     assert!(plan.kind.is_staged());
 
     // A default [adaptive] section is omitted, not emitted as noise —
@@ -396,7 +399,10 @@ fn output_sections_are_validated() {
                 source = \"paper\"\ncount = 1\nseed = 0\n\n[output]\ndir = \"out/x\"\n";
     let plan = parse_campaign_plan(text).expect("[output] on exhaustive is store-backed");
     assert_eq!(plan.kind, CampaignKind::Exhaustive { scene_stride: 1 });
-    assert_eq!(plan.kind.store_subdir(), Some(SWEEP_SUBDIR));
+    assert_eq!(
+        stage_dirs(&plan),
+        vec![Path::new("out/x").join(GOLDEN_SUBDIR), Path::new("out/x").join(SWEEP_SUBDIR)]
+    );
     let base = {
         let mut plan = tiny_random_plan();
         plan.output = Some(OutputSpec::new("out/tiny"));
@@ -430,7 +436,13 @@ fn mine_plans_round_trip_and_enforce_their_schema() {
     let text = emit_campaign_plan(&plan);
     assert!(!text.contains("sink"), "mine plans carry no sink:\n{text}");
     assert_eq!(parse_campaign_plan(&text).unwrap(), plan);
-    assert_eq!(plan.kind.store_subdir(), Some(VALIDATE_SUBDIR));
+    assert_eq!(
+        stage_dirs(&plan),
+        vec![
+            Path::new("out/mine").join(GOLDEN_SUBDIR),
+            Path::new("out/mine").join(VALIDATE_SUBDIR)
+        ]
+    );
 
     // A mine plan without an [output] store is rejected at parse time
     // (the pipeline is resumable-from-disk by definition)...
@@ -777,4 +789,159 @@ fn outcome_sink_agrees_with_stats_sink() {
         panic!("expected random stats");
     };
     assert_eq!(stats.hazards + stats.collisions, hazardous);
+}
+
+/// One small store-backed plan of every kind, each writing under
+/// `dir/<kind>/`. Two suite scenarios, so every golden stage is 2 jobs.
+fn every_kind(dir: &Path) -> Vec<CampaignPlan> {
+    let mut adaptive = tiny_adaptive_plan();
+    // No convergence stop: the campaign runs all three rounds.
+    adaptive.kind = CampaignKind::Adaptive {
+        scene_stride: 30,
+        adaptive: AdaptiveSection { batch: 4, max_rounds: 3, converge_eps: 0.0 },
+    };
+    let mut plans = vec![tiny_random_plan(), adaptive];
+    for kind in [
+        CampaignKind::Golden,
+        CampaignKind::Exhaustive { scene_stride: 100 },
+        CampaignKind::Mine { scene_stride: 25 },
+    ] {
+        plans.push(CampaignPlan { name: kind.name().into(), kind, ..tiny_random_plan() });
+    }
+    for plan in &mut plans {
+        let out = dir.join(plan.kind.name());
+        plan.output = Some(OutputSpec::new(out.to_string_lossy().into_owned()));
+    }
+    plans
+}
+
+fn output_root(plan: &CampaignPlan) -> PathBuf {
+    PathBuf::from(&plan.output.as_ref().expect("store-backed plan").dir)
+}
+
+fn saved_files(dir: &Path) -> [Vec<u8>; 2] {
+    [crate::report::REPORT_FILE, crate::report::JOBS_FILE]
+        .map(|file| std::fs::read(dir.join(file)).unwrap())
+}
+
+/// The report files `read_campaign` rebuilds, saved to a scratch dir.
+fn reread_files(plan: &CampaignPlan, scratch: &Path) -> (CampaignRead, [Vec<u8>; 2]) {
+    let read = read_campaign(plan).unwrap();
+    std::fs::remove_dir_all(scratch).ok();
+    read.report.save(scratch).unwrap();
+    (read, saved_files(scratch))
+}
+
+/// The stage stores actually on disk: the output root itself for a
+/// single-stage campaign, else every subdirectory holding a manifest.
+fn stores_on_disk(root: &Path) -> Vec<PathBuf> {
+    if root.join(MANIFEST_FILE).is_file() {
+        return vec![root.to_path_buf()];
+    }
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|dir| dir.join(MANIFEST_FILE).is_file())
+        .collect();
+    dirs.sort();
+    dirs
+}
+
+#[test]
+fn read_campaign_rebuilds_every_kinds_saved_report() {
+    let dir = std::env::temp_dir().join(format!("drivefi-layout-full-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    for plan in every_kind(&dir) {
+        let kind = plan.kind.name();
+        let root = output_root(&plan);
+        let PlanResult::Persisted(report) = run_plan(&plan).unwrap() else { panic!("{kind}") };
+        assert!(report.complete(), "{kind}");
+        // Golden sorts first on disk too ("golden" < "round-…", "sweep",
+        // "validate").
+        assert_eq!(stage_dirs(&plan), stores_on_disk(&root), "{kind}: stage dirs vs disk");
+        if let CampaignKind::Adaptive { .. } = plan.kind {
+            assert_eq!(stage_dirs(&plan).len(), 4, "golden + three rounds");
+        }
+
+        let (read, files) = reread_files(&plan, &dir.join("scratch"));
+        assert_eq!(read.report_dir, root, "{kind}");
+        assert_eq!(read.short_store, None, "{kind}");
+        assert!(!read.golden_fallback, "{kind}");
+        assert_eq!(read.report, report, "{kind}");
+        assert_eq!(files, saved_files(&root), "{kind}: report bytes differ from run_plan's");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn read_campaign_names_the_short_store_of_an_interrupted_campaign() {
+    let dir = std::env::temp_dir().join(format!("drivefi-layout-part-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    for plan in every_kind(&dir) {
+        let kind = plan.kind.name();
+        let root = output_root(&plan);
+        // Each budget stops one job into the final store: after the
+        // 2-job golden stage for the pipelines, and after golden plus
+        // the 4-job round-000 for adaptive.
+        let (budget, short) = match plan.kind {
+            CampaignKind::Random { .. } | CampaignKind::Golden => (1, root.clone()),
+            CampaignKind::Exhaustive { .. } => (3, root.join(SWEEP_SUBDIR)),
+            CampaignKind::Mine { .. } => (3, root.join(VALIDATE_SUBDIR)),
+            CampaignKind::Adaptive { .. } => (7, root.join(round_subdir(1))),
+        };
+        let PlanResult::Persisted(report) = run_plan_budget(&plan, Some(budget)).unwrap() else {
+            panic!("{kind}")
+        };
+        assert!(!report.complete(), "{kind}");
+        assert_eq!(stage_dirs(&plan), stores_on_disk(&root), "{kind}: stage dirs vs disk");
+
+        let (read, files) = reread_files(&plan, &dir.join("scratch"));
+        assert_eq!(read.short_store, Some(short), "{kind}");
+        assert!(!read.report.complete(), "{kind}");
+        assert!(!read.golden_fallback, "{kind}");
+        assert_eq!(read.report_dir, root, "{kind}");
+        assert_eq!(files, saved_files(&root), "{kind}: partial report bytes differ");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn read_campaign_falls_back_to_golden_before_the_first_injection_store() {
+    let dir = std::env::temp_dir().join(format!("drivefi-layout-gold-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    for plan in every_kind(&dir).into_iter().filter(|plan| plan.kind.is_staged()) {
+        let kind = plan.kind.name();
+        let root = output_root(&plan);
+        let golden = root.join(GOLDEN_SUBDIR);
+        // Mid-golden: the golden stage is all there is, and it is short.
+        run_plan_budget(&plan, Some(1)).unwrap();
+        assert_eq!(stores_on_disk(&root), vec![golden.clone()], "{kind}");
+        assert_eq!(stage_dirs(&plan)[0], golden, "{kind}: golden first");
+        let (read, files) = reread_files(&plan, &dir.join("scratch"));
+        assert!(read.golden_fallback, "{kind}");
+        assert_eq!(read.report_dir, golden, "{kind}");
+        assert_eq!(read.short_store.as_ref(), Some(&golden), "{kind}");
+        assert_eq!(read.report.total_jobs, 2, "{kind}");
+        assert_eq!(files, saved_files(&golden), "{kind}: golden report bytes differ");
+
+        // A finished golden stage whose first injection store is gone
+        // (a crash before it opened) reads as a complete golden report.
+        run_plan_budget(&plan, Some(1)).unwrap();
+        for stage in stage_dirs(&plan).iter().skip(1) {
+            std::fs::remove_dir_all(stage).unwrap();
+        }
+        let read = read_campaign(&plan).unwrap();
+        assert!(read.golden_fallback && read.report.complete(), "{kind}");
+        assert_eq!(read.short_store, None, "{kind}");
+    }
+    // No store at all is an error, not an empty report.
+    let err = read_campaign(&every_kind(&dir.join("empty"))[0]).expect_err("no store");
+    assert!(err.to_string().contains("no campaign store"), "got: {err}");
+    // A store written by another plan is refused.
+    let mut other = every_kind(&dir)[0].clone();
+    run_plan_budget(&other, Some(1)).unwrap();
+    other.seed += 1;
+    let err = read_campaign(&other).expect_err("fingerprint mismatch");
+    assert!(err.to_string().contains("different plan"), "got: {err}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -42,10 +42,11 @@ pub mod toml;
 
 pub use campaign::{
     campaign_fingerprint, campaign_plan_to_toml, emit_campaign_plan, parse_campaign_plan,
-    round_dirs, round_subdir, run_plan, run_plan_budget, AdaptiveProgress, AdaptiveSection,
-    CampaignKind, CampaignPlan, ControlSection, ControlVerdict, OutputSpec, PlanResult,
-    RoundSummary, ScenarioSelection, SimSection, SinkChoice, SubmitSection, CONTROL_FILE,
-    FINGERPRINT_EXCLUDED, GOLDEN_SUBDIR, ROUNDS_FILE, ROUND_PREFIX, SWEEP_SUBDIR, VALIDATE_SUBDIR,
+    read_campaign, round_dirs, round_subdir, run_plan, run_plan_budget, stage_dirs,
+    AdaptiveProgress, AdaptiveSection, CampaignKind, CampaignPlan, CampaignRead, ControlSection,
+    ControlVerdict, OutputSpec, PlanResult, RoundSummary, ScenarioSelection, SimSection,
+    SinkChoice, SubmitSection, CONTROL_FILE, FINGERPRINT_EXCLUDED, GOLDEN_SUBDIR, ROUNDS_FILE,
+    ROUND_PREFIX, SWEEP_SUBDIR, VALIDATE_SUBDIR,
 };
 pub use diff::{diff_records, diff_stores, CellDelta, StoreDiff};
 pub use expr::{emit_expr, parse_expr};

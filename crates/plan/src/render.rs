@@ -9,8 +9,12 @@
 //! * the control-point verdict (`control.toml`) when one was recorded;
 //! * stage timings and lifecycle counts replayed from `events.jsonl`
 //!   when `DRIVEFI_OBS` was on during the run;
-//! * the `DRIVEFI_PROFILE` ADS tick-stage table when this process has
-//!   recorded profiler samples.
+//! * the ADS tick-stage table when this process has recorded profiler
+//!   samples (the tick profiler follows the same `DRIVEFI_OBS` switch).
+//!
+//! `drivefi report` builds the context over every stage store of the
+//! campaign ([`crate::stage_dirs`]), so the lifecycle replay covers
+//! golden, sweep and round stores alike.
 //!
 //! Rendering is read-only over the store's artifacts: a report rendered
 //! with observability off simply omits the lifecycle sections, and the
@@ -71,7 +75,8 @@ pub struct RenderContext {
     /// Replayed lifecycle events (`events.jsonl`), oldest first.
     pub events: Vec<Event>,
     /// ADS tick-profiler rows as `(phase, samples, total_ns)`, for when
-    /// `DRIVEFI_PROFILE` recorded samples in this process.
+    /// the profiler (on under `DRIVEFI_OBS`) recorded samples in this
+    /// process.
     pub profile: Vec<(String, u64, u64)>,
 }
 
@@ -362,7 +367,7 @@ fn profile_section(profile: &[(String, u64, u64)]) -> Option<Section> {
     Some(Section {
         title: "ADS tick profile".into(),
         paragraphs: vec![
-            "Per-stage pipeline timings recorded by `DRIVEFI_PROFILE=1` in this process.".into(),
+            "Per-stage pipeline timings recorded by `DRIVEFI_OBS=1` in this process.".into()
         ],
         table: Some(Table {
             header: vec!["phase".into(), "samples".into(), "total".into(), "mean".into()],
@@ -537,7 +542,7 @@ pub fn to_html(document: &Document) -> String {
 }
 
 /// The current process's ADS tick-profiler rows in [`RenderContext`]
-/// shape, empty when `DRIVEFI_PROFILE` is off or nothing was recorded.
+/// shape, empty when `DRIVEFI_OBS` is off or nothing was recorded.
 pub fn ads_profile_rows() -> Vec<(String, u64, u64)> {
     drivefi_ads::profiler::report()
         .into_iter()

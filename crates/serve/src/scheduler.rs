@@ -27,9 +27,7 @@
 use crate::spool::{claim_submissions, CAMPAIGNS_DIR, PLAN_FILE, SPOOL_DIR};
 use crate::status::{CampaignState, CampaignStatus};
 use crate::ServeError;
-use drivefi_plan::{
-    round_dirs, run_plan_budget, CampaignPlan, OutputSpec, PlanReport, PlanResult, GOLDEN_SUBDIR,
-};
+use drivefi_plan::{run_plan_budget, stage_dirs, CampaignPlan, OutputSpec, PlanReport, PlanResult};
 use drivefi_store::{compact_store, read_manifest, MANIFEST_FILE};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -120,19 +118,6 @@ fn force_output(plan: &mut CampaignPlan, dir: &Path) {
     plan.output = Some(OutputSpec { dir: store.display().to_string(), ..spec });
 }
 
-/// Every stage store directory the plan writes, golden first.
-fn stage_dirs(plan: &CampaignPlan) -> Vec<PathBuf> {
-    let root = PathBuf::from(&plan.output.as_ref().expect("serve plans always have output").dir);
-    match plan.kind.store_subdir() {
-        Some(subdir) => vec![root.join(GOLDEN_SUBDIR), root.join(subdir)],
-        // Adaptive: golden plus every acquisition round swept so far.
-        None if plan.kind.is_staged() => {
-            std::iter::once(root.join(GOLDEN_SUBDIR)).chain(round_dirs(&root)).collect()
-        }
-        None => vec![root],
-    }
-}
-
 /// Admits the campaign directory `dir`: parses its plan, forces the
 /// store location, and reconciles state with whatever a previous
 /// daemon left behind (a complete report, a persisted failure, or
@@ -194,34 +179,25 @@ fn apply_report(status: &mut CampaignStatus, plan: &CampaignPlan, report: &PlanR
     status.safe = report.safe();
     status.hazards = report.hazards();
     status.collisions = report.collisions();
-    status.stage = match plan.kind.store_subdir() {
-        // Adaptive: golden until it seals, then whichever acquisition
-        // round is newest on disk — `round-000`, `round-001`, … walk by
-        // in `drivefi status` as the loop progresses.
-        None if plan.kind.is_staged() => {
-            let root = PathBuf::from(&plan.output.as_ref().expect("serve plan").dir);
-            match read_manifest(root.join(GOLDEN_SUBDIR)) {
-                Ok(meta) if meta.complete => round_dirs(&root)
-                    .last()
-                    .and_then(|dir| dir.file_name())
-                    .map_or_else(|| GOLDEN_SUBDIR.into(), |n| n.to_string_lossy().into_owned()),
-                _ => GOLDEN_SUBDIR.into(),
-            }
-        }
-        None => "main".into(),
-        Some(subdir) => {
-            let golden =
-                PathBuf::from(&plan.output.as_ref().expect("serve plan").dir).join(GOLDEN_SUBDIR);
-            match read_manifest(&golden) {
-                Ok(meta) if meta.complete => subdir.into(),
-                _ => GOLDEN_SUBDIR.into(),
-            }
-        }
-    };
+    // Pipelines report `golden` until it seals, then their last stage
+    // store: `validate`, `sweep`, or the newest acquisition round on
+    // disk (`round-000`, `round-001`, … walk by as the loop progresses).
+    let name = |dir: &Path| dir.file_name().map(|n| n.to_string_lossy().into_owned());
+    status.stage = match stage_dirs(plan).as_slice() {
+        [golden, .., last] if plan.kind.is_staged() && sealed(golden) => name(last),
+        [golden, ..] if plan.kind.is_staged() => name(golden),
+        _ => None,
+    }
+    .unwrap_or_else(|| "main".into());
     status.state = if report.complete() { CampaignState::Done } else { CampaignState::Running };
     if status.state == CampaignState::Done {
         status.eta_seconds = None;
     }
+}
+
+/// True when the store under `dir` is marked complete.
+fn sealed(dir: &Path) -> bool {
+    read_manifest(dir).is_ok_and(|meta| meta.complete)
 }
 
 /// Grants the campaign one scheduling slice of `slice × weight`
@@ -287,8 +263,7 @@ fn compact_one(campaigns: &[Campaign]) -> bool {
             if !dir.join(MANIFEST_FILE).is_file() || dir.join(COMPACTED_MARKER).is_file() {
                 continue;
             }
-            let sealed = read_manifest(&dir).is_ok_and(|meta| meta.complete);
-            if !sealed {
+            if !sealed(&dir) {
                 continue;
             }
             match compact_store(&dir) {

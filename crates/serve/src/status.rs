@@ -63,7 +63,8 @@ pub struct CampaignStatus {
     /// Campaign kind name (`"random"`, `"mine"`, …).
     pub kind: String,
     /// Stage the progress counters describe: `"main"` for single-stage
-    /// kinds; `"golden"` then the sweep sub-store name for pipelines.
+    /// kinds; `"golden"` then the last stage store's name for pipelines
+    /// (`"validate"`, `"sweep"`, or the newest `"round-NNN"`).
     pub stage: String,
     /// Jobs persisted in the current stage's store.
     pub done: u64,

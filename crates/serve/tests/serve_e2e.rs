@@ -202,3 +202,41 @@ fn mine_pipeline_reports_stage_transitions_and_drains() {
     std::fs::remove_dir_all(&reference).ok();
     std::fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn adaptive_campaign_reports_its_newest_round_as_the_stage() {
+    let root = temp_root("adaptive");
+    let plan_text = "name = \"served-adaptive\"\n\n[campaign]\nkind = \"adaptive\"\n\
+                     scene_stride = 30\nseed = 0\n\n[adaptive]\nbatch = 4\nmax_rounds = 3\n\
+                     converge_eps = 0.0\n\n[scenarios]\nsource = \"paper\"\ncount = 2\nseed = 42\n\n\
+                     [output]\ndir = \"out/served_adaptive\"\nshards = 2\ncheckpoint_every = 16\n";
+    let plan = write_plan(&root, "a.toml", plan_text);
+    submit_plan(&root, &plan).unwrap();
+    let dir = root.join(CAMPAIGNS_DIR).join("served-adaptive");
+
+    // One job: the golden stage is still running.
+    serve(&root, &ServeConfig { slice: 1, max_rounds: Some(1), ..ServeConfig::default() }).unwrap();
+    assert_eq!(CampaignStatus::load(&dir).unwrap().stage, "golden");
+
+    // Six more: golden's last job, round-000's four, one of round-001.
+    serve(&root, &ServeConfig { slice: 6, max_rounds: Some(1), ..ServeConfig::default() }).unwrap();
+    let status = CampaignStatus::load(&dir).unwrap();
+    assert_eq!(status.state, CampaignState::Running);
+    assert_eq!(status.stage, "round-001");
+    assert_eq!((status.done, status.total), (5, 8));
+
+    let drain = ServeConfig { slice: 64, drain: true, ..ServeConfig::default() };
+    assert_eq!(serve(&root, &drain).unwrap().done, 1);
+    let status = CampaignStatus::load(&dir).unwrap();
+    assert_eq!(status.state, CampaignState::Done);
+    assert_eq!(status.stage, "round-002");
+
+    let reference = temp_root("adaptive-ref");
+    assert_eq!(served_artifacts(&root, "served-adaptive"), standalone_report(&plan, &reference));
+    // Every stage store, golden and the three rounds, was compacted.
+    for stage in ["golden", "round-000", "round-001", "round-002"] {
+        assert!(dir.join("store").join(stage).join(".compacted").is_file(), "{stage}");
+    }
+    std::fs::remove_dir_all(&reference).ok();
+    std::fs::remove_dir_all(&root).ok();
+}

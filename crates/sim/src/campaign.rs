@@ -324,19 +324,10 @@ impl CampaignEngine {
     /// already-persisted job ids; submission indices renumber over the
     /// pending jobs, so sinks that need a stable identity should key on
     /// `CampaignResult::id` (the skipped ids never reappear).
-    pub fn run_skipping<S, K, P>(&self, jobs: S, done: P, sink: &mut K)
-    where
-        S: JobSource,
-        K: CampaignSink + ?Sized,
-        P: Fn(u64) -> bool + Send,
-    {
-        self.run(jobs.into_jobs().filter(move |job| !done(job.id)), sink);
-    }
-
-    /// [`CampaignEngine::run_skipping`] with a job budget: at most
-    /// `budget` pending jobs are executed (already-done jobs don't
-    /// count), then the stream stops cleanly — the "interrupt via budget
-    /// cap" a resumable store-backed campaign uses. `None` means
+    ///
+    /// At most `budget` pending jobs are executed (already-done jobs
+    /// don't count), then the stream stops cleanly — the "interrupt via
+    /// budget cap" a resumable store-backed campaign uses. `None` means
     /// unbounded. Returns the number of jobs actually executed.
     pub fn run_skipping_budget<S, K, P>(
         &self,
@@ -526,9 +517,13 @@ mod tests {
         let engine = CampaignEngine::new(SimConfig::default()).with_workers(2);
         let jobs: Vec<_> = (0..6u64).map(|i| golden_job(i, i)).collect();
         let mut seen = Vec::new();
-        engine.run_skipping(jobs, |id| id % 2 == 0, &mut |index: u64, result: CampaignResult| {
-            seen.push((index, result.id))
-        });
+        let ran = engine.run_skipping_budget(
+            jobs,
+            |id| id % 2 == 0,
+            None,
+            &mut |index: u64, result: CampaignResult| seen.push((index, result.id)),
+        );
+        assert_eq!(ran, 3);
         seen.sort_unstable();
         assert_eq!(seen, vec![(0, 1), (1, 3), (2, 5)]);
     }

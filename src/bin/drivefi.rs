@@ -33,8 +33,7 @@
 //!   of them are incomplete and who, if anyone, holds the store lease.
 //!   `--format md|html` additionally renders `report.md`/`report.html`
 //!   with per-fault and per-family breakdowns plus whatever
-//!   `DRIVEFI_OBS` lifecycle events and `DRIVEFI_PROFILE` tick timings
-//!   the run left behind.
+//!   `DRIVEFI_OBS` lifecycle events the run left behind.
 //! * `diff` compares two stores cell-by-cell (scenario × fault): exit 0
 //!   when the candidate holds no new or worsened hazards, exit 3 when
 //!   it regressed — the CI safety gate. `--plan` maps scenario ids to
@@ -60,15 +59,19 @@
 //!   once everything submitted has finished.
 //!
 //! Relative `[output] dir` paths are resolved against the plan file's
-//! directory, so `drivefi run plans/foo.toml` works from anywhere. For
-//! pipeline kinds (`mine`, store-backed `exhaustive`) `report` and
-//! `query` read the sweep-stage sub-store (`validate/` / `sweep/`).
+//! directory, so `drivefi run plans/foo.toml` works from anywhere.
+//! Given a plan, `report` and `query` read the campaign's final records
+//! through [`read_campaign`] (the store itself, the `validate/` or
+//! `sweep/` sub-store, or every `round-*/` sub-store), falling back to
+//! the `golden/` stage with a note when a pipeline was interrupted
+//! before its injection stage; `compact` and `resume` find the stage
+//! stores through [`stage_dirs`].
 
 use drivefi::plan::{
-    ads_profile_rows, campaign_fingerprint, diff_stores, known_fault_filter, report_document,
-    round_dirs, run_plan_budget, to_html, to_markdown, AdaptiveProgress, CampaignKind,
-    CampaignPlan, ControlVerdict, OutputSpec, PlanReport, PlanResult, RenderContext, GOLDEN_SUBDIR,
-    SWEEP_SUBDIR, VALIDATE_SUBDIR,
+    ads_profile_rows, diff_stores, known_fault_filter, read_campaign, report_document, round_dirs,
+    run_plan_budget, stage_dirs, to_html, to_markdown, AdaptiveProgress, CampaignKind,
+    CampaignPlan, CampaignRead, ControlVerdict, OutputSpec, PlanReport, PlanResult, RenderContext,
+    GOLDEN_SUBDIR, SWEEP_SUBDIR, VALIDATE_SUBDIR,
 };
 use drivefi::serve::{serve, submit_plan, CampaignStatus, ServeConfig, CAMPAIGNS_DIR, SPOOL_DIR};
 use drivefi::store::{
@@ -282,24 +285,25 @@ fn sub_store_hint(target: &Path) -> Option<String> {
     None
 }
 
-fn store_dir(plan: &CampaignPlan) -> &str {
-    match &plan.output {
-        Some(output) => &output.dir,
-        None => fail("this command needs the plan to have an [output] section (or --output-dir)"),
+fn require_output(plan: &CampaignPlan) {
+    if plan.output.is_none() {
+        fail("this command needs the plan to have an [output] section (or --output-dir)");
     }
 }
 
-/// The directory holding the plan's final per-job records: the store
-/// itself for single-stage kinds, the sweep-stage sub-store
-/// (`validate/` / `sweep/`) for two-stage pipeline kinds. Adaptive
-/// campaigns have no single records dir — their report concatenates
-/// every `round-*/` sub-store ([`adaptive_records`]).
-fn records_dir(plan: &CampaignPlan) -> PathBuf {
-    let root = Path::new(store_dir(plan));
-    match plan.kind.store_subdir() {
-        Some(subdir) => root.join(subdir),
-        None => root.to_path_buf(),
+/// [`read_campaign`] for the CLI: fails with its error, and notes on
+/// stderr when the records come from the golden stage.
+fn read_plan_campaign(plan: &CampaignPlan) -> CampaignRead {
+    require_output(plan);
+    let read = read_campaign(plan).unwrap_or_else(|e| fail(e));
+    if read.golden_fallback {
+        eprintln!(
+            "drivefi: note: campaign interrupted before its injection stage — reading the \
+             golden stage under {}",
+            read.report_dir.display()
+        );
     }
+    read
 }
 
 fn print_summary(result: &PlanResult) {
@@ -356,14 +360,10 @@ fn cmd_run(args: &Args, require_store: bool, require_mine: bool) {
         ));
     }
     if require_store {
-        // Pipeline kinds create their golden sub-store first, so that is
-        // what an interrupted run is guaranteed to have left behind.
-        let dir = store_dir(&plan);
-        let first_store = if plan.kind.is_staged() {
-            Path::new(dir).join(GOLDEN_SUBDIR)
-        } else {
-            PathBuf::from(dir)
-        };
+        // The first stage store (golden, for pipeline kinds) is what an
+        // interrupted run is guaranteed to have left behind.
+        require_output(&plan);
+        let first_store = &stage_dirs(&plan)[0];
         if !first_store.join(MANIFEST_FILE).is_file() {
             fail(format!("nothing to resume: no store manifest under {}", first_store.display()));
         }
@@ -371,8 +371,8 @@ fn cmd_run(args: &Args, require_store: bool, require_mine: bool) {
     let result = run_plan_budget(&plan, args.max_jobs).unwrap_or_else(|e| fail(e));
     print_summary(&result);
     // `run --format md|html` renders right here, in the process that
-    // just simulated — the one place the `DRIVEFI_PROFILE` tick table
-    // has samples to show.
+    // just simulated — the one place the tick-profile table (on under
+    // `DRIVEFI_OBS`) has samples to show.
     if let (Some("md" | "html"), PlanResult::Persisted(report), Some(output)) =
         (args.format.as_deref(), &result, &plan.output)
     {
@@ -382,148 +382,14 @@ fn cmd_run(args: &Args, require_store: bool, require_mine: bool) {
 
 fn cmd_report(args: &Args) {
     let plan = load_plan(&args.target, args.output_dir.as_deref());
-    if matches!(plan.kind, CampaignKind::Adaptive { .. }) {
-        return cmd_report_adaptive(args, &plan);
-    }
-    let mut dir = records_dir(&plan);
-    // Pipeline reports live at the output root, next to the sub-stores.
-    let mut report_dir = PathBuf::from(store_dir(&plan));
-    if plan.kind.store_subdir().is_some() && !dir.join(MANIFEST_FILE).is_file() {
-        // The pipeline was interrupted before its sweep stage existed —
-        // the golden sub-store is all there is to report on.
-        let golden = report_dir.join(GOLDEN_SUBDIR);
-        if golden.join(MANIFEST_FILE).is_file() {
-            eprintln!(
-                "drivefi: note: pipeline interrupted before its sweep stage — reporting on \
-                 the golden stage under {}",
-                golden.display()
-            );
-            dir = golden.clone();
-            report_dir = golden;
-        }
-    }
-    if !dir.join(MANIFEST_FILE).is_file() {
-        if let Some(hint) = sub_store_hint(&dir) {
-            fail(hint);
-        }
-    }
-    let (meta, records) = read_store(&dir).unwrap_or_else(|e| fail(e));
-    let expected = campaign_fingerprint(&plan);
-    check_fingerprint(&dir, meta.fingerprint, expected);
-    let report = PlanReport::new(
-        plan.name.clone(),
-        plan.kind.name(),
-        meta.fingerprint,
-        meta.total_jobs,
-        records,
-    );
-    if !report.complete() && !args.partial {
-        fail(incomplete_store_message(&dir, &report));
+    let CampaignRead { report, report_dir, short_store, .. } = read_plan_campaign(&plan);
+    if let (Some(short), false) = (&short_store, args.partial) {
+        fail(incomplete_store_message(short, &report));
     }
     report.save(&report_dir).unwrap_or_else(|e| fail(e));
     match args.format.as_deref() {
         None | Some("toml") => {}
         Some("md" | "html") => render_report(args, &plan, &report, &report_dir),
-        Some(other) => fail(format!("report --format must be toml, md, or html, got `{other}`")),
-    }
-    print_summary(&PlanResult::Persisted(report));
-}
-
-/// Fails unless the store under `dir` was written by this plan.
-fn check_fingerprint(dir: &Path, found: u64, expected: u64) {
-    if found != expected {
-        fail(format!(
-            "store under {} was created by a different plan \
-             (fingerprint 0x{found:016x}, plan is 0x{expected:016x})",
-            dir.display()
-        ));
-    }
-}
-
-/// Reads and concatenates every `round-*/` sub-store under an adaptive
-/// campaign's output root, renumbering each round's store-local job ids
-/// by the planned jobs before it — the exact record stream the
-/// acquisition loop itself reports. Returns the records, the campaign's
-/// planned job total so far, and the first incomplete round, if any.
-fn adaptive_records(
-    root: &Path,
-    expected: u64,
-) -> (Vec<drivefi::store::CampaignRecord>, u64, Option<PathBuf>) {
-    let mut base = 0u64;
-    let mut partial = None;
-    let mut all = Vec::new();
-    for dir in round_dirs(root) {
-        if !dir.join(MANIFEST_FILE).is_file() {
-            continue; // swept but never started — nothing persisted yet
-        }
-        let (meta, records) = read_store(&dir).unwrap_or_else(|e| fail(e));
-        check_fingerprint(&dir, meta.fingerprint, expected);
-        if !meta.complete && partial.is_none() {
-            partial = Some(dir.clone());
-        }
-        for mut record in records {
-            record.job += base;
-            all.push(record);
-        }
-        base += meta.total_jobs;
-    }
-    (all, base, partial)
-}
-
-/// `report` for an adaptive plan: the report concatenates every
-/// `round-*/` sub-store at the output root (where the acquisition loop
-/// saves its own), falling back to the golden stage when the campaign
-/// was interrupted before its first round.
-fn cmd_report_adaptive(args: &Args, plan: &CampaignPlan) {
-    let root = PathBuf::from(store_dir(plan));
-    let expected = campaign_fingerprint(plan);
-    let (records, total, partial) = adaptive_records(&root, expected);
-    if total == 0 {
-        let golden = root.join(GOLDEN_SUBDIR);
-        if !golden.join(MANIFEST_FILE).is_file() {
-            fail(format!(
-                "nothing to report: no round sub-store or golden stage under {}",
-                root.display()
-            ));
-        }
-        eprintln!(
-            "drivefi: note: acquisition loop interrupted before its first round — reporting on \
-             the golden stage under {}",
-            golden.display()
-        );
-        let (meta, records) = read_store(&golden).unwrap_or_else(|e| fail(e));
-        check_fingerprint(&golden, meta.fingerprint, expected);
-        let report = PlanReport::new(
-            plan.name.clone(),
-            plan.kind.name(),
-            expected,
-            meta.total_jobs,
-            records,
-        );
-        if !report.complete() && !args.partial {
-            fail(incomplete_store_message(&golden, &report));
-        }
-        report.save(&golden).unwrap_or_else(|e| fail(e));
-        if matches!(args.format.as_deref(), Some("md" | "html")) {
-            render_report(args, plan, &report, &golden);
-        }
-        return print_summary(&PlanResult::Persisted(report));
-    }
-    let report = PlanReport::new(plan.name.clone(), plan.kind.name(), expected, total, records);
-    if !report.complete() && !args.partial {
-        let dir = partial.unwrap_or_else(|| root.clone());
-        fail(format!(
-            "adaptive round under {} is incomplete ({} of {} campaign job records persisted) — \
-             resume it with `drivefi resume`, or pass --partial to report on it as-is",
-            dir.display(),
-            report.jobs.len(),
-            report.total_jobs
-        ));
-    }
-    report.save(&root).unwrap_or_else(|e| fail(e));
-    match args.format.as_deref() {
-        None | Some("toml") => {}
-        Some("md" | "html") => render_report(args, plan, &report, &root),
         Some(other) => fail(format!("report --format must be toml, md, or html, got `{other}`")),
     }
     print_summary(&PlanResult::Persisted(report));
@@ -556,35 +422,35 @@ fn render_context(plan: &CampaignPlan, report_dir: &Path) -> RenderContext {
     for scenario in plan.scenarios.build_suite().scenarios {
         context.family_names.insert(scenario.id, scenario.name);
     }
-    // Single-stage campaigns log everything into one root events.jsonl;
-    // pipeline stages also log into their sub-stores. Merge in seq
-    // order (the sequence counter is process-global).
-    let mut events = drivefi::obs::read_events(report_dir).unwrap_or_default();
-    for stage in [GOLDEN_SUBDIR, VALIDATE_SUBDIR, SWEEP_SUBDIR] {
-        events.extend(drivefi::obs::read_events(&report_dir.join(stage)).unwrap_or_default());
-    }
-    for round in round_dirs(report_dir) {
-        events.extend(drivefi::obs::read_events(&round).unwrap_or_default());
-    }
+    // Campaign events log into the output dir, store events into each
+    // stage store. Merge in seq order (the sequence counter is
+    // process-global); a single-stage store is both, hence the dedup.
+    let root = plan.output.as_ref().map(|output| PathBuf::from(&output.dir));
+    let mut events: Vec<_> = root
+        .into_iter()
+        .chain(stage_dirs(plan))
+        .flat_map(|dir| drivefi::obs::read_events(&dir).unwrap_or_default())
+        .collect();
     events.sort_by_key(|event| event.seq);
     events.dedup_by_key(|event| event.seq);
     context.events = events;
     context
 }
 
-/// The `report` refusal for an interrupted store: survey the shards so
-/// the message says *which* of them are short, then probe the store
-/// lease so it says whether a writer still holds (or abandoned) the
-/// store — an actively-running campaign, a crashed one, and an
-/// interrupted one all read differently.
+/// The `report` refusal for an interrupted campaign: name its first
+/// short store, survey that store's shards so the message says *which*
+/// of them are short, then probe the store lease so it says whether a
+/// writer still holds (or abandoned) the store — an actively-running
+/// campaign, a crashed one, and an interrupted one all read differently.
 fn incomplete_store_message(dir: &Path, report: &PlanReport) -> String {
     use std::fmt::Write;
     let mut message = format!(
-        "store under {} holds {} of {} job records — an interrupted campaign; resume it \
-         with `drivefi resume`, or pass --partial to report on it as-is",
-        dir.display(),
+        "campaign holds {} of {} job records and the store under {} is short — an \
+         interrupted campaign; resume it with `drivefi resume`, or pass --partial to report \
+         on it as-is",
         report.jobs.len(),
-        report.total_jobs
+        report.total_jobs,
+        dir.display()
     );
     let Ok(progress) = shard_progress(dir) else { return message };
     message.push_str("\n  incomplete shards:");
@@ -624,15 +490,8 @@ fn cmd_compact(args: &Args) {
             fail(hint);
         }
         let plan = load_plan(&args.target, args.output_dir.as_deref());
-        let root = PathBuf::from(store_dir(&plan));
-        match plan.kind.store_subdir() {
-            Some(subdir) => vec![root.join(GOLDEN_SUBDIR), root.join(subdir)],
-            // Adaptive: golden plus every round that has run so far.
-            None if plan.kind.is_staged() => {
-                std::iter::once(root.join(GOLDEN_SUBDIR)).chain(round_dirs(&root)).collect()
-            }
-            None => vec![root],
-        }
+        require_output(&plan);
+        stage_dirs(&plan)
     };
     for dir in dirs {
         if !dir.join(MANIFEST_FILE).is_file() {
@@ -661,12 +520,7 @@ fn cmd_query(args: &Args) {
             fail(hint);
         }
         let plan = load_plan(&args.target, args.output_dir.as_deref());
-        if matches!(plan.kind, CampaignKind::Adaptive { .. }) {
-            let root = PathBuf::from(store_dir(&plan));
-            adaptive_records(&root, campaign_fingerprint(&plan)).0
-        } else {
-            read_store(records_dir(&plan)).unwrap_or_else(|e| fail(e)).1
-        }
+        read_plan_campaign(&plan).report.jobs
     };
 
     let jsonl = match args.format.as_deref() {
